@@ -467,8 +467,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        return _usage_error(str(exc))
+    except (ValueError, OSError, RuntimeError, OverflowError, MemoryError) as exc:
+        return _usage_error(str(exc) or type(exc).__name__)
 
 
 if __name__ == "__main__":

@@ -19,11 +19,39 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .special_numbers import bernoulli, euler_number, zigzag
+
+
+# pi^512 is about 1e254, so a mantissa below 1 times it stays finite.
+_PI_POWER_STEP = 512
+
+
+def _frexp_fraction(x: Fraction) -> tuple[float, int]:
+    """(m, e) with m = x / 2^e correctly rounded and 1/2 <= |m| < 1 (m = 0.0 for x = 0)."""
+    num, den = x.numerator, x.denominator
+    shift = num.bit_length() - den.bit_length()
+    if shift > 0:
+        den <<= shift
+    else:
+        num <<= -shift
+    m, e = math.frexp(num / den)
+    return m, e + shift
+
+
+def _frexp_pi_power(power: int) -> tuple[float, int]:
+    """pi^power as (m, e) with pi^power = m * 2^e and 1/2 <= m < 1."""
+    m, e = 1.0, 0
+    while power > 0:
+        step = min(power, _PI_POWER_STEP)
+        m, step_e = math.frexp(m * math.pi**step)
+        e += step_e
+        power -= step
+    return m, e
 
 
 @dataclass(frozen=True)
@@ -41,7 +69,21 @@ class PiMultiple:
             object.__setattr__(self, "power", 0)
 
     def to_float(self) -> float:
-        return float(self.coeff) * math.pi**self.power
+        """coeff * pi^power in double precision, also where pi^power alone overflows.
+
+        When float(coeff) is a normal float and pi^power is finite this is
+        the plain product; otherwise both factors are split into mantissa
+        and binary exponent, so neither overflows nor goes subnormal.
+        """
+        try:
+            coeff, pi_power = float(self.coeff), math.pi**self.power
+        except OverflowError:
+            coeff = 0.0
+        if abs(coeff) >= sys.float_info.min:
+            return coeff * pi_power
+        coeff_m, coeff_e = _frexp_fraction(self.coeff)
+        pi_m, pi_e = _frexp_pi_power(self.power)
+        return math.ldexp(coeff_m * pi_m, coeff_e + pi_e)
 
     def text(self) -> str:
         """Lowest-terms rational times an explicit pi power, e.g. "1/8 · pi^2"."""
@@ -148,8 +190,6 @@ def g_eval(z: float, terms: int) -> GEval:
     if terms < 1:
         raise ValueError("terms must be positive")
     closed = (math.pi * z / 4) * (1 / math.cos(math.pi * z / 2) + math.tan(math.pi * z / 2))
-    partial = math.fsum(
-        float(s_coeff(k)) * math.pi**k * z**k for k in range(1, terms + 1)
-    )
+    partial = math.fsum(s_value(k).to_float() * z**k for k in range(1, terms + 1))
     series = partial + z ** (terms + 1) / (1 - z)
     return GEval(closed, series)

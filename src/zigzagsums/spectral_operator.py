@@ -82,10 +82,17 @@ class KernelMatrix:
 
 
 def nystrom_matrix(N: int) -> KernelMatrix:
-    """Assemble the N x N midpoint discretization of the triangle kernel."""
-    mids = grid_midpoints(N)
+    """Assemble the N x N midpoint discretization of the triangle kernel.
+
+    Cell (i, j) lies inside the open triangle iff u_i + u_j < pi/2, that is
+    iff i + j + 1 < N.  The test is made on the integers: the float midpoint
+    sums of boundary cells (i + j + 1 = N) can round below pi/2.
+    """
+    if N < 2:
+        raise ValueError("grid size must be at least 2")
     w = HALF_PI / N
-    entries = np.where(mids[:, None] + mids[None, :] < HALF_PI, w, 0.0)
+    index = np.arange(N)
+    entries = np.where(np.less.outer(index, N - 1 - index), w, 0.0)
     return KernelMatrix(N, entries)
 
 

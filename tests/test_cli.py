@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -82,6 +83,12 @@ class TestSums:
         _, out, _ = run(capsys, "sums", "4", "--digits", "4")
         assert "≈ 1.015" in out
 
+    def test_large_n(self, capsys):
+        # pi^700 overflows a float, S(700) itself is about 1
+        code, out, _ = run(capsys, "sums", "700")
+        assert code == 0
+        assert "≈ 1\n" in out
+
 
 class TestTables:
     def test_golden_bytes(self, capsys):
@@ -109,6 +116,10 @@ class TestVolume:
         code, out, _ = run(capsys, "volume", "cyclic", "2", "exact")
         assert code == 0
         assert "1/8 · pi^2" in out
+
+    def test_exact_cyclic_large_n(self, capsys):
+        code, _, _ = run(capsys, "volume", "cyclic", "700", "exact")
+        assert code == 0
 
     def test_extensions_chain(self, capsys):
         code, out, _ = run(capsys, "volume", "chain", "4", "extensions")
@@ -146,7 +157,9 @@ class TestVolume:
     def test_spectral(self, capsys):
         code, out, _ = run(capsys, "volume", "cyclic", "2", "spectral", "--grid", "300")
         assert code == 0
-        assert "1.23" in out
+        value = float(out.split("≈ ")[1].split()[0])
+        # the midpoint trace converges to pi^2/8 = 1.2337 at rate O(1/N)
+        assert abs(value - math.pi**2 / 8) < (math.pi / 2) / 300
 
     def test_cube_integral(self, capsys):
         code, out, _ = run(
@@ -288,6 +301,19 @@ class TestConfigFile:
         monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / "absent.cfg"))
         with pytest.raises(SystemExit):
             cli.main(["sums", "4"])
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize("error", [RuntimeError, OverflowError, MemoryError])
+    def test_runtime_failures_exit_2(self, capsys, monkeypatch, error):
+        def fail(n):
+            raise error("no answer")
+
+        monkeypatch.setattr(cli, "s_value", fail)
+        code, out, err = run(capsys, "sums", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no answer\n"
 
 
 class TestParser:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,10 @@ class TestGEval:
         closed, series = g_eval(-0.5, 60)
         assert abs(closed - series) <= 1e-12
 
+    def test_terms_past_float_range_of_pi_power(self):
+        closed, series = g_eval(0.5, 700)
+        assert abs(closed - series) <= 1e-12
+
     def test_pole_rejected(self):
         for z in (1.0, -1.0, 1.5):
             with pytest.raises(ValueError):
@@ -157,3 +162,15 @@ class TestPiMultiple:
 
     def test_to_float(self):
         assert s_value(2).to_float() == pytest.approx(math.pi**2 / 8, abs=1e-15)
+
+    def test_to_float_is_plain_product_while_factors_are_normal(self):
+        for n in range(1, 620):
+            coeff = float(s_coeff(n))
+            if coeff >= sys.float_info.min:
+                assert s_value(n).to_float() == coeff * math.pi**n, n
+
+    def test_to_float_large_n(self):
+        # pi^n overflows for n >= 620 and float(coeff) goes subnormal earlier
+        for n in range(600, 2001):
+            numeric = s_numeric(n, 1000)
+            assert abs(s_value(n).to_float() - numeric.value) <= numeric.tail_bound + 1e-12, n

@@ -5,6 +5,7 @@ import pytest
 
 from zigzagsums.special_numbers import (
     SequenceCache,
+    _pattern_leaves,
     bernoulli,
     cyclic_zigzag,
     cyclic_zigzag_bruteforce,
@@ -114,6 +115,29 @@ class TestCyclicZigzag:
         # A0(n) = 2^(n-1) (2^n - 1) |B_n| for even n
         for n in range(2, 17, 2):
             assert cyclic_zigzag(n) == 2 ** (n - 1) * (2**n - 1) * abs(bernoulli(n))
+
+
+def _full_walk(n, predicate):
+    """Oracle: the literal n! walk over itertools.permutations."""
+    return [p for p in itertools.permutations(range(1, n + 1)) if predicate(p)]
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_count_matches_full_walk(self, n):
+        assert zigzag_bruteforce(n) == len(_full_walk(n, is_alternating))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_cyclic_count_matches_full_walk(self, n):
+        assert cyclic_zigzag_bruteforce(n) == len(_full_walk(n, is_cyclically_alternating))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_leaves_are_each_alternating_permutation_once(self, n):
+        leaves = list(_pattern_leaves(n))
+        assert len(leaves) == len(set(leaves))
+        assert set(leaves) == set(_full_walk(n, is_alternating))
+        cyclic = [p for p in leaves if is_cyclically_alternating(p)]
+        assert set(cyclic) == set(_full_walk(n, is_cyclically_alternating))
 
 
 class TestEulerNumbers:

@@ -144,6 +144,11 @@ class TestNystromMatrix:
         with pytest.raises(ValueError):
             nystrom_matrix(1)
 
+    @pytest.mark.parametrize("N", [3, 2500, 3000])
+    def test_boundary_cells_excluded(self, N):
+        # the float midpoint sums of some cells with i + j + 1 = N round below pi/2
+        assert np.count_nonzero(nystrom_matrix(N).entries) == N * (N - 1) // 2
+
 
 class TestEigenvalues:
     def test_top_three_near_exact(self):

@@ -8,7 +8,9 @@ error.
 
 Defaults (grid 2000, samples 10^6, seed 0, digits 12) may be overridden by a
 flat key=value config file named by the ZIGZAGSUMS_CONFIG environment
-variable, and by command-line flags, in that order of precedence.
+variable, and by command-line flags, in that order of precedence.  The
+grid-using commands (volume ... spectral, spectrum, verify) refuse a resolved
+grid above GRID_LIMIT with exit code 2.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ from .spectral_operator import (
 CONFIG_ENV = "ZIGZAGSUMS_CONFIG"
 
 DEFAULTS = {"digits": 12, "seed": 0, "samples": 10**6, "grid": 2000}
+
+# Largest Nystrom grid accepted: the dense N x N matrix takes 8 N^2 bytes
+# (134 MB at N = 4096) and the trace route holds several such arrays.
+GRID_LIMIT = 4096
 
 VOLUME_METHODS = ("exact", "extensions", "montecarlo", "spectral", "cube-integral")
 
@@ -77,6 +83,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     merged["quiet"] = bool(getattr(args, "quiet", False))
     merged["json"] = bool(getattr(args, "json", False))
     return merged
+
+
+def _grid(opts: dict) -> int:
+    """The resolved grid size, refused before any matrix is allocated if too large."""
+    grid = opts["grid"]
+    if grid > GRID_LIMIT:
+        raise ValueError(f"grid {grid} exceeds the limit of {GRID_LIMIT}")
+    return grid
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -229,12 +243,13 @@ def cmd_volume(args: argparse.Namespace) -> int:
             return _usage_error("the spectral trace route applies to the cyclic polytope only")
         if n < 2:
             return _usage_error("the spectral trace route requires n >= 2")
+        grid = _grid(opts)
         factor = (2 / math.pi) ** n if scale == "unit" else 1.0
-        value = trace_power_nystrom(opts["grid"], n) * factor
+        value = trace_power_nystrom(grid, n) * factor
         if opts["json"]:
-            print(json.dumps({"trace": value, "grid": opts["grid"]}))
+            print(json.dumps({"trace": value, "grid": grid}))
         else:
-            print(f"Vol ≈ {_fmt(value, digits)} (matrix trace at grid N={opts['grid']})")
+            print(f"Vol ≈ {_fmt(value, digits)} (matrix trace at grid N={grid})")
         return 0
 
     if method == "cube-integral":
@@ -292,7 +307,7 @@ def cmd_ratio_limit(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = _resolve(args)
     result = report.run_suite(
-        suite=args.suite, seed=opts["seed"], samples=opts["samples"], grid=opts["grid"]
+        suite=args.suite, seed=opts["seed"], samples=opts["samples"], grid=_grid(opts)
     )
     if opts["json"]:
         print(result.to_json())
@@ -371,7 +386,7 @@ def cmd_g_eval(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     opts = _resolve(args)
     top = args.top
-    grid = opts["grid"]
+    grid = _grid(opts)
     if top < 1:
         return _usage_error("top must be at least 1")
     if top > grid:
@@ -404,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--digits", type=int, help="significant digits for floats (default 12)")
     common.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
     common.add_argument("--samples", type=int, help="Monte Carlo samples (default 10^6)")
-    common.add_argument("--grid", type=int, help="Nystrom grid size (default 2000)")
+    common.add_argument(
+        "--grid", type=int, help=f"Nystrom grid size (default 2000, at most {GRID_LIMIT})"
+    )
     common.add_argument("--quiet", action="store_true", help="suppress secondary output")
 
     parser = argparse.ArgumentParser(

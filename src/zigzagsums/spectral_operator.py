@@ -150,61 +150,15 @@ def parseval_sum(n: int, K: int) -> float:
     return (math.pi / 4) * math.fsum(terms)
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
-
-    Self-contained: exploits only symmetry.  Sweeps the upper triangle until
-    the off-diagonal Frobenius mass falls below tol times the matrix norm.
-    Intended for moderate sizes; the LAPACK path is the fast production route.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T):
-        raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-    return np.diag(a).copy()
-
-
-def sym_eigenvalues(matrix: KernelMatrix, top: int, method: str = "lapack") -> list[float]:
+def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:
     """The ``top`` eigenvalues of largest magnitude, descending by |lambda|.
 
     For the Nystrom matrix these approximate 1, -1/3, 1/5, -1/7, 1/9, ...
-    method "lapack" uses numpy's symmetric solver; "jacobi" uses the
-    self-contained rotation sweep (slow above a few hundred rows).
+    computed by numpy's (LAPACK) symmetric solver.
     """
     if not 1 <= top <= matrix.N:
         raise ValueError("top must be between 1 and N")
-    if method == "lapack":
-        eigenvalues = np.linalg.eigvalsh(matrix.entries)
-    elif method == "jacobi":
-        eigenvalues = jacobi_eigenvalues(matrix.entries)
-    else:
-        raise ValueError("method must be 'lapack' or 'jacobi'")
+    eigenvalues = np.linalg.eigvalsh(matrix.entries)
     order = np.argsort(-np.abs(eigenvalues), kind="stable")
     return [float(eigenvalues[i]) for i in order[:top]]
 

@@ -303,6 +303,57 @@ class TestConfigFile:
             cli.main(["sums", "4"])
 
 
+class TestGridLimit:
+    @pytest.fixture
+    def no_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a matrix was built for a refused grid")
+
+        for name in ("nystrom_matrix", "trace_power_nystrom"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli.report, "run_suite", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["volume", "cyclic", "2", "spectral", "--grid", "100000"],
+            ["spectrum", "--grid", str(cli.GRID_LIMIT + 1)],
+            ["verify", "spectral", "--grid", "100000"],
+        ],
+    )
+    def test_large_grid_exits_2_before_allocating(self, capsys, no_matrix, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: grid ") and f"limit of {cli.GRID_LIMIT}" in err
+
+    def test_limit_applies_to_config_file(self, capsys, tmp_path, monkeypatch, no_matrix):
+        config = tmp_path / "settings.cfg"
+        config.write_text("grid=100000\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        code, _, err = run(capsys, "spectrum")
+        assert code == 2
+        assert "limit" in err
+
+    def test_flag_overrides_config_and_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "settings.cfg"
+        config.write_text("grid=100000\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        grids = []
+        monkeypatch.setattr(cli, "trace_power_nystrom", lambda N, n: grids.append(N) or 1.0)
+        code, _, _ = run(capsys, "volume", "cyclic", "2", "spectral", "--grid", str(cli.GRID_LIMIT))
+        assert code == 0
+        assert grids == [cli.GRID_LIMIT]
+
+    def test_unused_grid_is_not_checked(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "settings.cfg"
+        config.write_text("grid=100000\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        code, out, _ = run(capsys, "sums", "2")
+        assert code == 0
+        assert out.startswith("S(2) = ")
+
+
 class TestErrorMapping:
     @pytest.mark.parametrize("error", [RuntimeError, OverflowError, MemoryError])
     def test_runtime_failures_exit_2(self, capsys, monkeypatch, error):

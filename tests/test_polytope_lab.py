@@ -1,13 +1,16 @@
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from zigzagsums import polytope_lab
 from zigzagsums.euler_sums import s_coeff
 from zigzagsums.polytope_lab import (
     CHUNK_SAMPLES,
+    CHUNK_WINDOW,
     McEstimate,
     PartialOrder,
     PolytopeSpec,
@@ -268,6 +271,84 @@ class TestMonteCarlo:
             points = rng.random((size, 2))
             hits += int(spec.contains(points).sum())
         assert estimate.mean == pytest.approx(hits / samples, abs=0)
+
+    def test_cube_integral_chunk_protocol(self):
+        # a serial fold over whole-chunk draws, chunk by chunk in index order
+        n, seed = 3, 5
+        sizes = (CHUNK_SAMPLES, CHUNK_SAMPLES, CHUNK_SAMPLES, 4321)
+        samples = sum(sizes)
+        total = total_sq = 0.0
+        for index, size in enumerate(sizes):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+            t = rng.random((size, n)).prod(axis=1)
+            f = 1.0 / (1.0 + t * t)
+            total += float(f.sum())
+            total_sq += float((f * f).sum())
+        mean = total / samples
+        std_error = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+        assert mc_cube_integral(n, samples, seed) == McEstimate(mean, std_error, samples, seed)
+
+    def test_estimates_independent_of_worker_count(self, monkeypatch):
+        # more chunks than one submission window even at 4 workers
+        samples = (4 * CHUNK_WINDOW + 5) * CHUNK_SAMPLES + 99
+        spec = PolytopeSpec("chain", 3, "half_pi")
+        results = []
+        for workers in (1, 4):
+            monkeypatch.setattr(polytope_lab, "_worker_count", lambda workers=workers: workers)
+            results.append((mc_volume(spec, samples, 21), mc_cube_integral(4, samples, 22)))
+        assert results[0] == results[1]
+
+    def test_submissions_stay_within_window(self, monkeypatch):
+        monkeypatch.setattr(polytope_lab, "_worker_count", lambda: 2)
+        window = CHUNK_WINDOW * 2
+        started = []
+        chunks = 3 * window + 1
+        results = polytope_lab._chunk_results(
+            lambda index: started.append(index) or index, chunks * CHUNK_SAMPLES
+        )
+        for expected, index in enumerate(results):
+            assert index == expected
+            assert max(started) <= index + window
+        assert sorted(started) == list(range(chunks))
+
+    def test_failure_cancels_pending_chunks_and_joins_threads(self, monkeypatch):
+        monkeypatch.setattr(polytope_lab, "_worker_count", lambda: 2)
+        before = threading.active_count()
+        started = []
+
+        def work(index):
+            started.append(index)
+            if index == 1:
+                raise RuntimeError("chunk failed")
+            return index
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            sum(polytope_lab._chunk_results(work, 1000 * CHUNK_SAMPLES))
+        # chunks 0 and 1 plus at most one window submitted past chunk 1
+        assert len(started) <= 2 * CHUNK_WINDOW + 2
+        assert threading.active_count() == before
+
+    def test_no_threads_outlive_a_call(self):
+        before = threading.active_count()
+        mc_volume(PolytopeSpec("cyclic", 3, "unit"), 3 * CHUNK_SAMPLES, seed=4)
+        assert threading.active_count() == before
+
+    def test_zero_hits_have_nonzero_std_error(self):
+        # the 40-dimensional cyclic polytope fills about 1.5e-8 of its box
+        spec = PolytopeSpec("cyclic", 40, "half_pi")
+        samples = 10**4
+        estimate = mc_volume(spec, samples, seed=0)
+        assert estimate.mean == 0.0
+        p_tilde = 2 / (samples + 4)
+        box = spec.bound**40
+        assert estimate.std_error == math.sqrt(p_tilde * (1 - p_tilde) / (samples + 4)) * box
+        assert abs(estimate.mean - volume_formula(spec).to_float()) <= 4 * estimate.std_error
+
+    def test_all_hits_have_nonzero_std_error(self):
+        spec = PolytopeSpec("chain", 1, "unit")
+        estimate = mc_volume(spec, 10**4, seed=0)
+        assert estimate.mean == 1.0
+        assert estimate.std_error > 0.0
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from zigzagsums.spectral_operator import (
     fourier_coeff_const,
     grid_midpoints,
     inner_product_one,
-    jacobi_eigenvalues,
     k1,
     nystrom_matrix,
     parseval_sum,
@@ -169,24 +168,6 @@ class TestEigenvalues:
             for j in range(i + 1, 5):
                 gap = abs(top5[i] - top5[j])
                 assert gap > 10 * 0.01 * max(abs(exact[i]), abs(exact[j]))
-
-    def test_jacobi_agrees_with_lapack(self):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
-        a = rng.normal(size=(40, 40))
-        a = (a + a.T) / 2
-        ours = np.sort(jacobi_eigenvalues(a))
-        lapack = np.sort(np.linalg.eigvalsh(a))
-        assert np.max(np.abs(ours - lapack)) < 1e-9
-
-    def test_jacobi_method_on_kernel_matrix(self):
-        matrix = nystrom_matrix(120)
-        jac = sym_eigenvalues(matrix, 3, method="jacobi")
-        lap = sym_eigenvalues(matrix, 3, method="lapack")
-        assert jac == pytest.approx(lap, abs=1e-9)
-
-    def test_jacobi_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_top_bound(self):
         with pytest.raises(ValueError):

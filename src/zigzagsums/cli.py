@@ -8,9 +8,14 @@ error.
 
 Defaults (grid 2000, samples 10^6, seed 0, digits 12) may be overridden by a
 flat key=value config file named by the ZIGZAGSUMS_CONFIG environment
-variable, and by command-line flags, in that order of precedence.  The
-grid-using commands (volume ... spectral, spectrum, verify) refuse a resolved
-grid above GRID_LIMIT with exit code 2.
+variable, and by command-line flags, in that order of precedence; unknown
+config keys are ignored with a warning on stderr.  The grid-using commands
+(volume ... spectral, spectrum, verify) refuse a resolved grid above
+GRID_LIMIT, and the sampling commands (volume ... montecarlo, volume ...
+cube-integral, verify) refuse resolved samples above SAMPLES_LIMIT, with exit
+code 2.  sums, zigzag, bernoulli and euler refuse n above SUMS_LIMIT,
+ZIGZAG_LIMIT, BERNOULLI_LIMIT and EULER_LIMIT with exit code 2, before any
+computation.
 """
 
 from __future__ import annotations
@@ -49,6 +54,20 @@ DEFAULTS = {"digits": 12, "seed": 0, "samples": 10**6, "grid": 2000}
 # (134 MB at N = 4096) and the trace route holds several such arrays.
 GRID_LIMIT = 4096
 
+# Largest Monte Carlo sample count accepted: about 6 s per estimate at the
+# 1.7e7 samples/s measured on 2 CPUs; run time is linear in the count.
+SAMPLES_LIMIT = 10**8
+
+# Largest n each exact command answers.  Above it, some exact value the
+# command prints has more than 4300 decimal digits, Python's default limit on
+# int-to-string conversion: the numerator or denominator of pi^-n S(n) or of
+# its zeta/L partner from n = 1425, A(n) and A0(n) from n = 1660 (so also
+# E_n), and the numerator of B_n from n = 2064.
+SUMS_LIMIT = 1424
+ZIGZAG_LIMIT = 1659
+BERNOULLI_LIMIT = 2063
+EULER_LIMIT = 1658
+
 VOLUME_METHODS = ("exact", "extensions", "montecarlo", "spectral", "cube-integral")
 
 
@@ -67,6 +86,9 @@ def _load_config() -> dict:
                 key = key.strip()
                 if key in DEFAULTS:
                     values[key] = int(raw.strip())
+                else:
+                    print(f"warning: unknown key {key!r} in config file {path} ignored",
+                          file=sys.stderr)
     except OSError as exc:
         raise SystemExit(f"cannot read config file {path}: {exc}")
     return values
@@ -85,12 +107,21 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _grid(opts: dict) -> int:
-    """The resolved grid size, refused before any matrix is allocated if too large."""
-    grid = opts["grid"]
-    if grid > GRID_LIMIT:
-        raise ValueError(f"grid {grid} exceeds the limit of {GRID_LIMIT}")
-    return grid
+def _bounded(opts: dict, key: str, limit: int) -> int:
+    """A resolved grid or sample count, refused before any work if above its limit."""
+    value = opts[key]
+    if value > limit:
+        raise ValueError(f"{key} {value} exceeds the limit of {limit}")
+    return value
+
+
+def _check_n(n: int, limit: int) -> None:
+    """Refuse an n whose exact output would exceed the int-to-string digit limit."""
+    if n > limit:
+        raise ValueError(
+            f"n {n} exceeds the limit of {limit}: the exact value would have more "
+            "than 4300 decimal digits"
+        )
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -117,6 +148,7 @@ def cmd_sums(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         return _usage_error("the sum diverges for n < 1; need n >= 1")
+    _check_n(n, SUMS_LIMIT)
     value = s_value(n)
     digits = opts["digits"]
     if n % 2 == 0:
@@ -228,7 +260,8 @@ def cmd_volume(args: argparse.Namespace) -> int:
         return 0
 
     if method == "montecarlo":
-        estimate = mc_volume(spec, opts["samples"], opts["seed"])
+        samples = _bounded(opts, "samples", SAMPLES_LIMIT)
+        estimate = mc_volume(spec, samples, opts["seed"])
         if opts["json"]:
             print(json.dumps(estimate.as_json_dict()))
         else:
@@ -243,7 +276,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
             return _usage_error("the spectral trace route applies to the cyclic polytope only")
         if n < 2:
             return _usage_error("the spectral trace route requires n >= 2")
-        grid = _grid(opts)
+        grid = _bounded(opts, "grid", GRID_LIMIT)
         factor = (2 / math.pi) ** n if scale == "unit" else 1.0
         value = trace_power_nystrom(grid, n) * factor
         if opts["json"]:
@@ -257,7 +290,8 @@ def cmd_volume(args: argparse.Namespace) -> int:
             return _usage_error("the cube integral equals the cyclic volume; use kind=cyclic")
         if n < 2:
             return _usage_error("the cube integral route requires n >= 2")
-        estimate = mc_cube_integral(n, opts["samples"], opts["seed"])
+        samples = _bounded(opts, "samples", SAMPLES_LIMIT)
+        estimate = mc_cube_integral(n, samples, opts["seed"])
         factor = (2 / math.pi) ** n if scale == "unit" else 1.0
         payload = _scaled_estimate(estimate, factor)
         if opts["json"]:
@@ -307,7 +341,10 @@ def cmd_ratio_limit(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = _resolve(args)
     result = report.run_suite(
-        suite=args.suite, seed=opts["seed"], samples=opts["samples"], grid=_grid(opts)
+        suite=args.suite,
+        seed=opts["seed"],
+        samples=_bounded(opts, "samples", SAMPLES_LIMIT),
+        grid=_bounded(opts, "grid", GRID_LIMIT),
     )
     if opts["json"]:
         print(result.to_json())
@@ -321,6 +358,7 @@ def cmd_zigzag(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         return _usage_error("n must be positive")
+    _check_n(n, ZIGZAG_LIMIT)
     if args.cyclic:
         if n % 2 != 0:
             return _usage_error("cyclic counts require even n")
@@ -338,6 +376,7 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
     opts = _resolve(args)
     if args.n < 0:
         return _usage_error("n must be nonnegative")
+    _check_n(args.n, BERNOULLI_LIMIT)
     value = bernoulli(args.n)
     if opts["json"]:
         print(json.dumps({"n": args.n, "value": str(value)}))
@@ -350,6 +389,7 @@ def cmd_euler(args: argparse.Namespace) -> int:
     opts = _resolve(args)
     if args.n < 0 or args.n % 2 != 0:
         return _usage_error("Euler numbers are reported for even n >= 0")
+    _check_n(args.n, EULER_LIMIT)
     value = euler_number(args.n)
     if opts["json"]:
         print(json.dumps({"n": args.n, "value": value}))
@@ -386,7 +426,7 @@ def cmd_g_eval(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     opts = _resolve(args)
     top = args.top
-    grid = _grid(opts)
+    grid = _bounded(opts, "grid", GRID_LIMIT)
     if top < 1:
         return _usage_error("top must be at least 1")
     if top > grid:
@@ -418,7 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--digits", type=int, help="significant digits for floats (default 12)")
     common.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
-    common.add_argument("--samples", type=int, help="Monte Carlo samples (default 10^6)")
+    common.add_argument(
+        "--samples", type=int, help="Monte Carlo samples (default 10^6, at most 10^8)"
+    )
     common.add_argument(
         "--grid", type=int, help=f"Nystrom grid size (default 2000, at most {GRID_LIMIT})"
     )
@@ -433,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sums", parents=[common], help="exact S(n) with its zeta or L partner")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"1 <= n <= {SUMS_LIMIT}")
     p.set_defaults(func=cmd_sums)
 
     p = sub.add_parser("tables", parents=[common], help="reprint the reference tables")
@@ -455,16 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("zigzag", parents=[common], help="alternating permutation counts")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"1 <= n <= {ZIGZAG_LIMIT}")
     p.add_argument("--cyclic", action="store_true")
     p.set_defaults(func=cmd_zigzag)
 
     p = sub.add_parser("bernoulli", parents=[common], help="Bernoulli numbers")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"0 <= n <= {BERNOULLI_LIMIT}")
     p.set_defaults(func=cmd_bernoulli)
 
     p = sub.add_parser("euler", parents=[common], help="Euler numbers of even order")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"even, 0 <= n <= {EULER_LIMIT}")
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("g-eval", parents=[common], help="generating function, closed vs series")

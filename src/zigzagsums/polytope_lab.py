@@ -46,8 +46,9 @@ CHUNK_WINDOW = 4
 # arrays it freed; quarter-chunk blocks kept it level and ran no slower.
 BLOCK_ROWS = 16384
 
-# Linear-extension enumeration is desk-scale only.
-EXTENSION_LIMIT = 10
+# The placed-set DP visits only the order ideals of the poset; for both
+# zigzag posets at n = 22 it takes about 0.3 s.
+EXTENSION_LIMIT = 22
 
 HALF_PI = math.pi / 2
 

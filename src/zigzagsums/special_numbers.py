@@ -2,8 +2,9 @@
 
 The integer sequences come from two independent directions:
 
-  * recurrences: the Bernoulli recurrence over exact rationals, and the
-    boustrophedon (back-and-forth) triangle for the zigzag counts A(n);
+  * recurrences: the defining Bernoulli recurrence, scaled by factorials
+    so that its sums run on plain integers, and the boustrophedon
+    (back-and-forth) triangle for the zigzag counts A(n);
   * brute force: an exhaustive backtracking search over the permutations
     of {1..n}, capped at n = 10.  It extends only prefixes that keep the
     up/down pattern sigma(1) < sigma(2) > sigma(3) < ..., so a subtree is
@@ -20,7 +21,7 @@ A permutation is a plain tuple of images (sigma(1), ..., sigma(n)).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterator, NamedTuple, Sequence
 
 Permutation = tuple[int, ...]
@@ -33,11 +34,13 @@ class SequenceCache:
     """Memo store for Bernoulli values and the boustrophedon triangle.
 
     Entries always equal what a fresh recomputation would produce, so
-    concurrent readers may race and at worst recompute.
+    concurrent readers may race and at worst recompute.  ``scaled_bernoulli``
+    holds the integers (k+1)! B_k that the recurrence runs on.
     """
 
     def __init__(self) -> None:
         self.bernoulli: dict[int, Fraction] = {0: Fraction(1)}
+        self.scaled_bernoulli: dict[int, int] = {0: 1}
         self.zigzag: dict[int, int] = {0: 1}
         self._row: list[int] = [1]  # last triangle row, for index len(_row) - 1
 
@@ -48,15 +51,31 @@ _CACHE = SequenceCache()
 def bernoulli(n: int, cache: SequenceCache | None = None) -> Fraction:
     """Bernoulli number B_n with B_0 = 1, B_1 = -1/2, and B_odd = 0 for n >= 3.
 
-    Computed by the defining recurrence sum_{m=0}^{n} C(n+1, m) B_m = 0.
+    Computed by the defining recurrence sum_{m=0}^{k} C(k+1, m) B_m = 0,
+    scaled by (k+1)!: with c_k = (k+1)! B_k it reads
+
+        c_k = -sum_{m<k} C(k+1, m) (k! / (m+1)!) c_m,
+
+    where every factor is an integer.  The coefficient of c_m is updated to
+    that of c_{m+1} by an exact multiply and a divide by (m+1)(m+2), terms
+    whose c_m came out as 0 are skipped, and each c_k is divided by (k+1)!
+    once.  Odd-index values come out of the recurrence like all others.
     """
     if n < 0:
         raise ValueError("Bernoulli numbers are indexed by n >= 0")
     cache = cache or _CACHE
-    known = cache.bernoulli
+    known, scaled = cache.bernoulli, cache.scaled_bernoulli
+    for k in range(len(scaled), n + 1):
+        coeff = factorial(k)  # C(k+1, 0) k! / 1!
+        acc = 0
+        for m in range(k):
+            c_m = scaled[m]
+            if c_m:
+                acc += coeff * c_m
+            coeff = coeff * (k + 1 - m) // ((m + 1) * (m + 2))
+        scaled[k] = -acc
     for k in range(len(known), n + 1):
-        acc = sum(comb(k + 1, m) * known[m] for m in range(k))
-        known[k] = Fraction(-acc, k + 1)
+        known[k] = Fraction(scaled[k], factorial(k + 1))
     return known[n]
 
 

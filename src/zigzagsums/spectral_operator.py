@@ -3,9 +3,12 @@
 The operator sends f to the function v |-> integral of f over (0, pi/2 - v).
 Two complementary views are implemented:
 
-  * exact: applied to polynomials (VPiPoly) the operator stays polynomial,
-    so its iterates on the constant 1 and their inner products with 1 are
-    computed in exact rational arithmetic;
+  * exact: the operator maps polynomials homogeneous of degree d in
+    (pi, v) to degree d + 1, so its iterates on the constant 1 are
+    T^n 1 = (pi/2)^n q_n(2v/pi) with rational polynomials q_0 = 1 and
+    q_{n+1}(w) = integral of q_n over (0, 1 - w); these are iterated on
+    integer coefficients over one common denominator, and the iterates
+    (VPiPoly) and their inner products with 1 come out exact;
   * numeric: a midpoint-rule Nystrom matrix whose spectrum approximates the
     true eigenvalues 1/(4k+1) (eigenfunctions cos((4k+1)u)) and whose matrix
     powers approximate operator traces.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -101,31 +105,62 @@ def apply_T_poly(f: VPiPoly) -> VPiPoly:
     return f.integral_to_reflection()
 
 
+def _q_iterate(n: int) -> tuple[list[int], int]:
+    """q_n as integer coefficients of w^0, w^1, ... over one common denominator.
+
+    Each step takes the antiderivative over the common denominator
+    lcm(1..deg+1), substitutes x = 1 - w by a Taylor shift done with
+    integer additions, and cancels the common content.
+    """
+    numerators, denominator = [1], 1
+    for _ in range(n):
+        scale = math.lcm(*range(1, len(numerators) + 1))
+        coeffs = [0] + [c * (scale // (i + 1)) for i, c in enumerate(numerators)]
+        denominator *= scale
+        degree = len(coeffs) - 1
+        for i in range(degree):  # coeffs of p(x) -> coeffs of p(x + 1)
+            for j in range(degree - 1, i - 1, -1):
+                coeffs[j] += coeffs[j + 1]
+        numerators = [-c if j % 2 else c for j, c in enumerate(coeffs)]  # x -> -w
+        common = math.gcd(denominator, *numerators)
+        numerators = [c // common for c in numerators]
+        denominator //= common
+    return numerators, denominator
+
+
 def t_power_one(n: int) -> VPiPoly:
     """The n-th operator iterate applied to the constant 1, exactly.
 
-    The result has v-degree n and vanishes at v = pi/2 for n >= 1.
+    The result has v-degree n and vanishes at v = pi/2 for n >= 1.  It is
+    (pi/2)^n q_n(2v/pi), whose v^i coefficient is q_{n,i} 2^(i-n) pi^(n-i).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > T_POWER_LIMIT:
         raise ValueError(f"exact iterates are capped at n <= {T_POWER_LIMIT}")
-    result = VPiPoly.one()
-    for _ in range(n):
-        result = apply_T_poly(result)
-    return result
+    numerators, denominator = _q_iterate(n)
+    return VPiPoly(
+        tuple(
+            (i, PiPoly.pi_power(n - i, Fraction(c * 2**i, denominator * 2**n)))
+            for i, c in enumerate(numerators)
+        )
+    )
 
 
 def inner_product_one(n: int) -> PiPoly:
     """Exact inner product of 1 with the (n-1)-th operator iterate of 1.
 
-    Equals the pure monomial (A(n)/n!) (pi/2)^n, which ties the operator
-    route to the zigzag counts; the test suite checks that identity in
-    exact arithmetic.
+    The integral of (pi/2)^(n-1) q_(n-1)(2v/pi) over (0, pi/2) is
+    (pi/2)^n q_n(0).  It equals the pure monomial (A(n)/n!) (pi/2)^n, which
+    ties the operator route to the zigzag counts; the test suite checks
+    that identity in exact arithmetic.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return t_power_one(n - 1).integral_to_half_pi()
+    if n - 1 > T_POWER_LIMIT:
+        raise ValueError(f"exact iterates are capped at n <= {T_POWER_LIMIT}")
+    numerators, denominator = _q_iterate(n)
+    return PiPoly.pi_power(n, Fraction(numerators[0], denominator * 2**n))
 
 
 def fourier_coeff_const(k: int) -> float:

@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from zigzagsums import cli, report
+from zigzagsums import cli, polytope_lab, report
+from zigzagsums.special_numbers import cyclic_zigzag, euler_number, zigzag
 from zigzagsums.report import CheckResult, VerificationReport
 
 GOLDEN_TABLES = """\
@@ -297,6 +299,20 @@ class TestConfigFile:
         _, out, _ = run(capsys, "sums", "4", "--digits", "7")
         assert "≈ 1.014678" in out
 
+    def test_unknown_keys_warn_on_stderr_and_are_ignored(self, capsys, tmp_path, monkeypatch):
+        _, plain, _ = run(capsys, "sums", "4")
+        config = tmp_path / "settings.cfg"
+        config.write_text("bogus=1\ndigits=12\n colour = red\n# note=1\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        code, out, err = run(capsys, "sums", "4")
+        assert code == 0
+        assert out == plain
+        warnings = err.splitlines()
+        assert len(warnings) == 2
+        assert warnings[0].startswith("warning: unknown key 'bogus'")
+        assert warnings[1].startswith("warning: unknown key 'colour'")
+        assert all(str(config) in line for line in warnings)
+
     def test_missing_config_is_fatal(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / "absent.cfg"))
         with pytest.raises(SystemExit):
@@ -352,6 +368,160 @@ class TestGridLimit:
         code, out, _ = run(capsys, "sums", "2")
         assert code == 0
         assert out.startswith("S(2) = ")
+
+
+class TestSamplesLimit:
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started for refused samples")
+
+        for name in ("mc_volume", "mc_cube_integral"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli.report, "run_suite", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["volume", "cyclic", "3", "montecarlo"],
+            ["volume", "cyclic", "2", "cube-integral"],
+            ["verify", "montecarlo"],
+        ],
+    )
+    def test_large_samples_exit_2_before_sampling(self, capsys, no_sampling, argv):
+        code, out, err = run(capsys, *argv, "--samples", str(10**12))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: samples {10**12} exceeds the limit of {cli.SAMPLES_LIMIT}\n"
+
+    def test_limit_applies_to_config_file(self, capsys, tmp_path, monkeypatch, no_sampling):
+        config = tmp_path / "settings.cfg"
+        config.write_text(f"samples={cli.SAMPLES_LIMIT + 1}\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        code, _, err = run(capsys, "volume", "chain", "3", "montecarlo")
+        assert code == 2
+        assert f"limit of {cli.SAMPLES_LIMIT}" in err
+
+    def test_flag_overrides_config_and_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "settings.cfg"
+        config.write_text(f"samples={cli.SAMPLES_LIMIT + 1}\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        seen = []
+
+        def fake_cube_integral(n, samples, seed):
+            seen.append(samples)
+            return polytope_lab.McEstimate(1.0, 0.1, samples, seed)
+
+        monkeypatch.setattr(cli, "mc_cube_integral", fake_cube_integral)
+        argv = ["volume", "cyclic", "2", "cube-integral", "--samples", str(cli.SAMPLES_LIMIT)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert seen == [cli.SAMPLES_LIMIT]
+
+    def test_unused_samples_are_not_checked(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "settings.cfg"
+        config.write_text(f"samples={10**12}\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        code, out, _ = run(capsys, "volume", "cyclic", "2", "exact")
+        assert code == 0
+        assert out.startswith("Vol = 1/8 · pi^2")
+
+
+def _fits(value):
+    """True iff every integer printed for value converts to text under Python's 4300-digit limit."""
+    if isinstance(value, Fraction):
+        return _fits(value.numerator) and _fits(value.denominator)
+    return abs(value) < 10**4300
+
+
+class TestExactCaps:
+    """sums, zigzag, bernoulli and euler answer up to their cap and refuse cap + 1 at once."""
+
+    @pytest.fixture
+    def no_exact_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computation started for a refused n")
+
+        for name in ("s_value", "zigzag", "cyclic_zigzag", "bernoulli", "euler_number"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            (["sums"], cli.SUMS_LIMIT),
+            (["zigzag"], cli.ZIGZAG_LIMIT),
+            (["zigzag", "--cyclic"], cli.ZIGZAG_LIMIT),
+            (["bernoulli"], cli.BERNOULLI_LIMIT),
+            (["euler"], cli.EULER_LIMIT),
+        ],
+    )
+    def test_above_cap_exits_2_before_computing(self, capsys, no_exact_work, argv, limit):
+        for n in (limit + 1, limit + 2, 10**6):
+            code, out, err = run(capsys, *argv, str(n))
+            assert code == 2
+            assert out == ""
+            if n % 2 == 0 or argv[0] != "euler":
+                assert err.startswith(f"error: n {n} exceeds the limit of {limit}: ")
+                assert "4300 decimal digits" in err
+
+    def test_sums_at_cap(self, capsys):
+        n = cli.SUMS_LIMIT
+        code, out, err = run(capsys, "sums", str(n))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"S({n}) = ")
+        code, out, _ = run(capsys, "sums", str(n), "--json")
+        assert code == 0
+        assert json.loads(out)["n"] == n
+
+    def test_zigzag_at_cap(self, capsys):
+        n = cli.ZIGZAG_LIMIT
+        code, out, err = run(capsys, "zigzag", str(n))
+        assert (code, err) == (0, "")
+        assert int(out) == zigzag(n)
+        code, out, _ = run(capsys, "zigzag", str(n), "--json")
+        assert code == 0
+        assert json.loads(out)["count"] == zigzag(n)
+        code, out, _ = run(capsys, "zigzag", str(n - 1), "--cyclic", "--json")
+        assert code == 0
+        assert json.loads(out)["count"] == cyclic_zigzag(n - 1)
+
+    def test_euler_at_cap(self, capsys):
+        n = cli.EULER_LIMIT
+        code, out, err = run(capsys, "euler", str(n))
+        assert (code, err) == (0, "")
+        assert int(out) == euler_number(n)
+        code, out, _ = run(capsys, "euler", str(n), "--json")
+        assert json.loads(out)["value"] == euler_number(n)
+
+    def test_bernoulli_cap_is_accepted(self, capsys, monkeypatch):
+        # B_n for n near the cap takes about a minute through the recurrence;
+        # the value at the odd cap is 0, so the gate is tested with it stubbed.
+        seen = []
+        monkeypatch.setattr(cli, "bernoulli", lambda n: seen.append(n) or Fraction(0))
+        assert cli.BERNOULLI_LIMIT % 2 == 1
+        assert run(capsys, "bernoulli", str(cli.BERNOULLI_LIMIT)) == (0, "0\n", "")
+        assert seen == [cli.BERNOULLI_LIMIT]
+
+    def test_caps_are_the_largest_n_that_print(self):
+        from zigzagsums.euler_sums import l4_coeff, s_coeff, zeta_coeff
+
+        def sums_values(n):
+            return [s_coeff(n), zeta_coeff(n) if n % 2 == 0 else l4_coeff(n)]
+
+        assert all(_fits(v) for v in sums_values(cli.SUMS_LIMIT))
+        assert not all(_fits(v) for v in sums_values(cli.SUMS_LIMIT + 1))
+        assert _fits(zigzag(cli.ZIGZAG_LIMIT)) and not _fits(zigzag(cli.ZIGZAG_LIMIT + 1))
+        assert not _fits(cyclic_zigzag(cli.ZIGZAG_LIMIT + 1))
+        assert cli.EULER_LIMIT % 2 == 0 and cli.EULER_LIMIT + 1 == cli.ZIGZAG_LIMIT
+        assert _fits(euler_number(cli.EULER_LIMIT))
+        assert not _fits(euler_number(cli.EULER_LIMIT + 2))
+
+        # |B_n| = A0(n) / (2^(n-1) (2^n - 1)) for even n, from the cyclic counts.
+        def bernoulli_magnitude(n):
+            return Fraction(cyclic_zigzag(n), 2 ** (n - 1) * (2**n - 1))
+
+        assert _fits(bernoulli_magnitude(cli.BERNOULLI_LIMIT - 1))
+        assert not _fits(bernoulli_magnitude(cli.BERNOULLI_LIMIT + 1))
 
 
 class TestErrorMapping:

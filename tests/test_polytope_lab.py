@@ -30,7 +30,7 @@ from zigzagsums.polytope_lab import (
     t_to_v_transform,
     volume_formula,
 )
-from zigzagsums.special_numbers import zigzag
+from zigzagsums.special_numbers import cyclic_zigzag, zigzag
 
 
 class TestPosets:
@@ -64,7 +64,16 @@ class TestLinearExtensions:
 
     def test_bound(self):
         with pytest.raises(ValueError):
-            linear_extension_count(chain_poset(11))
+            linear_extension_count(chain_poset(polytope_lab.EXTENSION_LIMIT + 1))
+
+    def test_chain_counts_equal_zigzag_counts_through_the_limit(self):
+        assert polytope_lab.EXTENSION_LIMIT == 22
+        for n in range(1, polytope_lab.EXTENSION_LIMIT + 1):
+            assert linear_extension_count(chain_poset(n)) == zigzag(n), n
+
+    def test_cyclic_counts_equal_cyclic_zigzag_counts_through_the_limit(self):
+        for n in range(2, polytope_lab.EXTENSION_LIMIT + 1, 2):
+            assert linear_extension_count(cyclic_poset(n)) == cyclic_zigzag(n), n
 
     def test_volumes(self):
         assert order_polytope_volume(chain_poset(2)) == Fraction(1, 2)

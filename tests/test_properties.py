@@ -1,0 +1,70 @@
+"""Property tests for the exact kernels; skipped when hypothesis is not installed."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from zigzagsums.exact_arith import HALF_PI  # noqa: E402
+from zigzagsums.special_numbers import (  # noqa: E402
+    SequenceCache,
+    bernoulli,
+    power_sum,
+    zigzag,
+)
+from zigzagsums.spectral_operator import (  # noqa: E402
+    T_POWER_LIMIT,
+    inner_product_one,
+    t_power_one,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(min_value=0, max_value=150), min_size=1, max_size=6))
+def test_bernoulli_is_independent_of_cache_growth_order(queries):
+    grown = SequenceCache()
+    values = [bernoulli(n, grown) for n in queries]
+    assert values == [bernoulli(n) for n in queries]
+    assert values == [bernoulli(n, SequenceCache()) for n in queries]
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=2, max_value=150))
+def test_bernoulli_satisfies_its_defining_recurrence(k):
+    assert sum(math.comb(k + 1, m) * bernoulli(m) for m in range(k + 1)) == 0
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=40))
+def test_power_sums_through_bernoulli_numbers(N, p):
+    result = power_sum(N, p)
+    assert result.via_bernoulli == result.direct
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=24))
+def test_iterate_derivative_is_reflected_previous_iterate(n):
+    # d/dv of the integral of f over (0, pi/2 - v) is -f(pi/2 - v)
+    assert t_power_one(n).derivative() == -t_power_one(n - 1).reflect()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=T_POWER_LIMIT))
+def test_iterate_is_homogeneous_and_vanishes_at_half_pi(n):
+    iterate = t_power_one(n)
+    assert iterate.degree() == n
+    assert all(p.terms == ((n - j, p.terms[0][1]),) for j, p in iterate.terms)
+    assert iterate.evaluate(HALF_PI).is_zero()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=T_POWER_LIMIT + 1))
+def test_inner_product_is_the_zigzag_monomial(n):
+    expected = Fraction(zigzag(n), math.factorial(n) * 2**n)
+    assert inner_product_one(n).terms == ((n, expected),)

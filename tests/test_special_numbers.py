@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -42,6 +43,37 @@ class TestBernoulli:
     def test_negative_index(self):
         with pytest.raises(ValueError):
             bernoulli(-1)
+
+
+def _bernoulli_oracle(n):
+    """Oracle: the defining recurrence summed over Fractions, term by term."""
+    known = [Fraction(1)]
+    for k in range(1, n + 1):
+        known.append(-sum(comb(k + 1, m) * known[m] for m in range(k)) / (k + 1))
+    return known
+
+
+class TestScaledBernoulliRecurrence:
+    ORACLE = _bernoulli_oracle(200)
+
+    def test_fresh_cache_matches_oracle(self):
+        cache = SequenceCache()
+        assert bernoulli(200, cache) == self.ORACLE[200]
+        assert [bernoulli(n, cache) for n in range(201)] == self.ORACLE
+
+    def test_cache_grown_in_steps_matches_oracle(self):
+        cache = SequenceCache()
+        for n in (0, 1, 2, 3, 7, 8, 50, 51, 120, 119, 200):
+            assert bernoulli(n, cache) == self.ORACLE[n]
+        assert [bernoulli(n, cache) for n in range(201)] == self.ORACLE
+
+    def test_cache_keeps_scaled_integers(self):
+        cache = SequenceCache()
+        bernoulli(60, cache)
+        assert sorted(cache.scaled_bernoulli) == list(range(61))
+        for k, c in cache.scaled_bernoulli.items():
+            assert isinstance(c, int)
+            assert c == self.ORACLE[k] * factorial(k + 1)
 
 
 class TestPowerSum:

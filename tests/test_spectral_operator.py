@@ -35,6 +35,26 @@ class TestKernel:
         assert k1(math.pi / 4, math.pi / 4) == 0
 
 
+def _vpipoly_iterate(n):
+    """Oracle: T^n 1 by n symbolic applications of the operator to VPiPoly values."""
+    result = VPiPoly.one()
+    for _ in range(n):
+        result = apply_T_poly(result)
+    return result
+
+
+class TestHomogeneousIterates:
+    @pytest.mark.parametrize("n", range(21))
+    def test_t_power_one_matches_vpipoly_iteration(self, n):
+        assert t_power_one(n) == _vpipoly_iterate(n)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_inner_product_matches_vpipoly_iteration(self, n):
+        expected = _vpipoly_iterate(n - 1).integral_to_half_pi()
+        assert inner_product_one(n) == expected
+        assert inner_product_one(n).terms == expected.terms
+
+
 class TestExactOperator:
     def test_applied_to_one(self):
         expected = VPiPoly.from_dict({0: HALF_PI, 1: PiPoly.rational(-1)})
@@ -70,6 +90,13 @@ class TestExactOperator:
         assert inner_product_one(2) == PiPoly.pi_power(2, Fraction(1, 8))
         # integral of pi^2/8 - v^2/2 over (0, pi/2) = pi^3/16 - pi^3/48 = pi^3/24
         assert inner_product_one(3) == PiPoly.pi_power(3, Fraction(1, 24))
+
+    def test_inner_product_cap(self):
+        assert inner_product_one(T_POWER_LIMIT + 1).degree() == T_POWER_LIMIT + 1
+        with pytest.raises(ValueError, match="capped"):
+            inner_product_one(T_POWER_LIMIT + 2)
+        with pytest.raises(ValueError):
+            inner_product_one(0)
 
     def test_pure_monomial_identity(self):
         # the operator route reproduces the zigzag counts exactly

@@ -6,16 +6,25 @@ rational times an explicit pi power; floats are formatted with --digits
 significant digits.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.
 
+Each handler ``cmd_x(args, opts)`` prints nothing and returns ``(payload,
+text)``, both built from values it computes once; it refuses bad input by
+raising ValueError.  ``main`` resolves the options once, prints
+``json.dumps(payload)`` under --json and the text otherwise, and reports
+ValueError, OSError, RuntimeError, OverflowError and MemoryError as
+``error: ...`` on stderr with exit code 2.  The payload of verify is its
+VerificationReport, printed by its own to_json; a failed check exits 1.
+
 Defaults (grid 2000, samples 10^6, seed 0, digits 12) may be overridden by a
 flat key=value config file named by the ZIGZAGSUMS_CONFIG environment
 variable, and by command-line flags, in that order of precedence; unknown
-config keys are ignored with a warning on stderr.  The grid-using commands
-(volume ... spectral, spectrum, verify) refuse a resolved grid above
-GRID_LIMIT, and the sampling commands (volume ... montecarlo, volume ...
-cube-integral, verify) refuse resolved samples above SAMPLES_LIMIT, with exit
-code 2.  sums, zigzag, bernoulli and euler refuse n above SUMS_LIMIT,
-ZIGZAG_LIMIT, BERNOULLI_LIMIT and EULER_LIMIT with exit code 2, before any
-computation.
+config keys are ignored with a warning on stderr, and an unreadable file or a
+non-integer value exits 2.  The grid-using commands (volume ... spectral,
+spectrum, verify) refuse a resolved grid above GRID_LIMIT, and the sampling
+commands (volume ... montecarlo, volume ... cube-integral, verify) resolved
+samples above SAMPLES_LIMIT.  sums, zigzag, bernoulli, euler and ratio-limit
+refuse n (m_max) above SUMS_LIMIT, ZIGZAG_LIMIT, BERNOULLI_LIMIT, EULER_LIMIT
+and RATIO_LIMIT, and volume ... extensions n above EXTENSION_LIMIT.  Each
+refusal exits 2 before any computation.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ from fractions import Fraction
 from . import __version__, report
 from .euler_sums import PiMultiple, g_eval, l4_coeff, s_coeff, s_value, zeta_coeff
 from .polytope_lab import (
+    EXTENSION_LIMIT,
+    McEstimate,
     PolytopeSpec,
     chain_poset,
     cyclic_poset,
@@ -62,11 +73,13 @@ SAMPLES_LIMIT = 10**8
 # command prints has more than 4300 decimal digits, Python's default limit on
 # int-to-string conversion: the numerator or denominator of pi^-n S(n) or of
 # its zeta/L partner from n = 1425, A(n) and A0(n) from n = 1660 (so also
-# E_n), and the numerator of B_n from n = 2064.
+# E_n), the numerator of B_n from n = 2064, and the ratio A0(2m)/A(2m) from
+# m = 830.
 SUMS_LIMIT = 1424
 ZIGZAG_LIMIT = 1659
 BERNOULLI_LIMIT = 2063
 EULER_LIMIT = 1658
+RATIO_LIMIT = 829
 
 VOLUME_METHODS = ("exact", "extensions", "montecarlo", "spectral", "cube-integral")
 
@@ -75,22 +88,25 @@ def _load_config() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    values: dict = {}
     try:
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                if key in DEFAULTS:
-                    values[key] = int(raw.strip())
-                else:
-                    print(f"warning: unknown key {key!r} in config file {path} ignored",
-                          file=sys.stderr)
-    except OSError as exc:
-        raise SystemExit(f"cannot read config file {path}: {exc}")
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
+    values: dict = {}
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in DEFAULTS:
+            print(f"warning: unknown key {key!r} in config file {path} ignored", file=sys.stderr)
+            continue
+        try:
+            values[key] = int(raw)
+        except ValueError:
+            raise ValueError(f"config file {path}: {key} must be an integer, not {raw!r}") from None
     return values
 
 
@@ -107,30 +123,30 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _require(condition: bool, message: str) -> None:
+    """Refuse the invocation as a usage error unless condition holds."""
+    if not condition:
+        raise ValueError(message)
+
+
 def _bounded(opts: dict, key: str, limit: int) -> int:
     """A resolved grid or sample count, refused before any work if above its limit."""
     value = opts[key]
-    if value > limit:
-        raise ValueError(f"{key} {value} exceeds the limit of {limit}")
+    _require(value <= limit, f"{key} {value} exceeds the limit of {limit}")
     return value
 
 
-def _check_n(n: int, limit: int) -> None:
+def _check_n(n: int, limit: int, name: str = "n") -> None:
     """Refuse an n whose exact output would exceed the int-to-string digit limit."""
-    if n > limit:
-        raise ValueError(
-            f"n {n} exceeds the limit of {limit}: the exact value would have more "
-            "than 4300 decimal digits"
-        )
+    _require(
+        n <= limit,
+        f"{name} {n} exceeds the limit of {limit}: the exact value would have more "
+        "than 4300 decimal digits",
+    )
 
 
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _format_table(rows: list[list[str]]) -> str:
@@ -143,314 +159,191 @@ def _format_table(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def cmd_sums(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
-    n = args.n
-    if n < 1:
-        return _usage_error("the sum diverges for n < 1; need n >= 1")
-    _check_n(n, SUMS_LIMIT)
-    value = s_value(n)
-    digits = opts["digits"]
-    if n % 2 == 0:
-        partner_name, partner = "zeta", PiMultiple(zeta_coeff(n), n)
-        partner_label = f"zeta({n})"
-    else:
-        partner_name, partner = "l4", PiMultiple(l4_coeff(n), n)
-        partner_label = f"L({n}, chi4)"
-    if opts["json"]:
-        payload = {
-            "n": n,
-            "s": {**value.as_json_dict(), "float": value.to_float()},
-            partner_name: {**partner.as_json_dict(), "float": partner.to_float()},
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"S({n}) = {value.text()} ≈ {_fmt(value.to_float(), digits)}")
-        print(f"{partner_label} = {partner.text()} ≈ {_fmt(partner.to_float(), digits)}")
-    return 0
-
-
-def cmd_tables(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
-    s_rows = {n: str(s_coeff(n)) for n in range(1, 11)}
-    zeta_rows = {n: str(zeta_coeff(n)) for n in range(2, 11, 2)}
-    bern_rows = {n: str(bernoulli(n)) for n in range(0, 11, 2)}
-    euler_rows = {n: str(euler_number(n)) for n in range(0, 9, 2)}
-    zig_rows = {n: str(zigzag(n)) for n in range(1, 11)}
-    cyc_rows = {n: str(cyclic_zigzag(n)) for n in range(2, 11, 2)}
-    if opts["json"]:
-        payload = {
-            "s_coeff": {str(n): v for n, v in s_rows.items()},
-            "zeta_coeff": {str(n): v for n, v in zeta_rows.items()},
-            "bernoulli": {str(n): v for n, v in bern_rows.items()},
-            "euler": {str(n): v for n, v in euler_rows.items()},
-            "zigzag": {str(n): v for n, v in zig_rows.items()},
-            "cyclic_zigzag": {str(n): v for n, v in cyc_rows.items()},
-        }
-        print(json.dumps(payload))
-        return 0
-    blocks = []
-    rows = [["n", "pi^-n S(n)", "pi^-n zeta(n)"]]
-    for n in range(1, 11):
-        rows.append([str(n), s_rows[n], zeta_rows.get(n, "-")])
-    blocks.append("coefficients of pi^n in S(n) and zeta(n), n = 1..10\n" + _format_table(rows))
-    rows = [["n", "B_n", "E_n"]]
-    for n in range(0, 11, 2):
-        rows.append([str(n), bern_rows[n], euler_rows.get(n, "-")])
-    blocks.append("Bernoulli and Euler numbers of even order\n" + _format_table(rows))
-    rows = [["n", "A(n)", "A0(n)"]]
-    for n in range(1, 11):
-        rows.append([str(n), zig_rows[n], cyc_rows.get(n, "-")])
-    blocks.append(
-        "alternating permutation counts A(n) and cyclic counts A0(n), n = 1..10\n"
-        + _format_table(rows)
+def _exact(label: str, value: PiMultiple, digits: int) -> tuple[dict, str]:
+    """An exact pi multiple as its JSON dict with the float, and as one text line."""
+    number = value.to_float()
+    return (
+        {**value.as_json_dict(), "float": number},
+        f"{label} = {value.text()} ≈ {_fmt(number, digits)}",
     )
-    print("\n\n".join(blocks))
-    return 0
 
 
-def _scaled_estimate(estimate, factor: float):
-    return {
-        "mean": estimate.mean * factor,
-        "std_error": estimate.std_error * factor,
-        "samples": estimate.samples,
-        "seed": estimate.seed,
+def _estimate(estimate: McEstimate, factor: float, digits: int) -> tuple[dict, str]:
+    """A Monte Carlo volume estimate scaled by factor, as a JSON dict and a text line."""
+    mean, std_error = estimate.mean * factor, estimate.std_error * factor
+    return (
+        {"mean": mean, "std_error": std_error, "samples": estimate.samples, "seed": estimate.seed},
+        f"Vol ≈ {_fmt(mean, digits)} ± {_fmt(std_error, digits)} "
+        f"(samples={estimate.samples}, seed={estimate.seed})",
+    )
+
+
+def cmd_sums(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
+    n = args.n
+    _require(n >= 1, "the sum diverges for n < 1; need n >= 1")
+    _check_n(n, SUMS_LIMIT)
+    s_json, s_text = _exact(f"S({n})", s_value(n), opts["digits"])
+    if n % 2 == 0:
+        name, label, coeff = "zeta", f"zeta({n})", zeta_coeff(n)
+    else:
+        name, label, coeff = "l4", f"L({n}, chi4)", l4_coeff(n)
+    partner_json, partner_text = _exact(label, PiMultiple(coeff, n), opts["digits"])
+    return {"n": n, "s": s_json, name: partner_json}, f"{s_text}\n{partner_text}"
+
+
+def cmd_tables(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
+    columns = {
+        "s_coeff": {n: str(s_coeff(n)) for n in range(1, 11)},
+        "zeta_coeff": {n: str(zeta_coeff(n)) for n in range(2, 11, 2)},
+        "bernoulli": {n: str(bernoulli(n)) for n in range(0, 11, 2)},
+        "euler": {n: str(euler_number(n)) for n in range(0, 9, 2)},
+        "zigzag": {n: str(zigzag(n)) for n in range(1, 11)},
+        "cyclic_zigzag": {n: str(cyclic_zigzag(n)) for n in range(2, 11, 2)},
     }
+    tables = (
+        ("coefficients of pi^n in S(n) and zeta(n), n = 1..10",
+         ["n", "pi^-n S(n)", "pi^-n zeta(n)"], "s_coeff", "zeta_coeff"),
+        ("Bernoulli and Euler numbers of even order", ["n", "B_n", "E_n"], "bernoulli", "euler"),
+        ("alternating permutation counts A(n) and cyclic counts A0(n), n = 1..10",
+         ["n", "A(n)", "A0(n)"], "zigzag", "cyclic_zigzag"),
+    )
+    blocks = []
+    for title, header, first, second in tables:
+        rows = [[str(n), v, columns[second].get(n, "-")] for n, v in columns[first].items()]
+        blocks.append(title + "\n" + _format_table([header, *rows]))
+    payload = {name: {str(n): v for n, v in column.items()} for name, column in columns.items()}
+    return payload, "\n\n".join(blocks)
 
 
-def cmd_volume(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
+def cmd_volume(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     kind, n, method = args.kind, args.n, args.method
     scale = args.scale or ("half_pi" if kind == "cyclic" else "unit")
     digits = opts["digits"]
-    if n < 1:
-        return _usage_error("dimension must be positive")
-    if kind == "cyclic" and n < 2:
-        return _usage_error("the cyclic polytope requires n >= 2")
+    _require(n >= 1, "dimension must be positive")
+    _require(kind != "cyclic" or n >= 2, "the cyclic polytope requires n >= 2")
     spec = PolytopeSpec(kind, n, scale)
 
     if method == "exact":
-        value = volume_formula(spec)
-        if opts["json"]:
-            print(json.dumps({**value.as_json_dict(), "float": value.to_float()}))
-        else:
-            print(f"Vol = {value.text()} ≈ {_fmt(value.to_float(), digits)}")
-            if kind == "cyclic" and n % 2 == 1 and not opts["quiet"]:
-                print(
-                    "note: no permutation-count route exists in odd cyclic dimension; "
-                    "the value is the series-coefficient route"
-                )
-        return 0
+        payload, text = _exact("Vol", volume_formula(spec), digits)
+        if kind == "cyclic" and n % 2 == 1 and not opts["quiet"]:
+            text += (
+                "\nnote: no permutation-count route exists in odd cyclic dimension; "
+                "the value is the series-coefficient route"
+            )
+        return payload, text
 
     if method == "extensions":
-        if n > 10:
-            return _usage_error("extension counting supports n <= 10")
-        if kind == "cyclic" and n % 2 != 0:
-            return _usage_error("the cyclic zigzag order requires even n")
-        poset = cyclic_poset(n) if kind == "cyclic" else chain_poset(n)
-        unit_volume = order_polytope_volume(poset)
+        _require(n <= EXTENSION_LIMIT, f"extension counting supports n <= {EXTENSION_LIMIT}")
+        _require(kind != "cyclic" or n % 2 == 0, "the cyclic zigzag order requires even n")
+        unit_volume = order_polytope_volume(cyclic_poset(n) if kind == "cyclic" else chain_poset(n))
         if scale == "half_pi":
-            value = PiMultiple(unit_volume / 2**n, n)
-        else:
-            value = PiMultiple(unit_volume, 0)
-        if opts["json"]:
-            print(json.dumps({**value.as_json_dict(), "float": value.to_float()}))
-        else:
-            print(f"Vol = {value.text()} ≈ {_fmt(value.to_float(), digits)}")
-        return 0
+            return _exact("Vol", PiMultiple(unit_volume / 2**n, n), digits)
+        return _exact("Vol", PiMultiple(unit_volume, 0), digits)
 
     if method == "montecarlo":
         samples = _bounded(opts, "samples", SAMPLES_LIMIT)
-        estimate = mc_volume(spec, samples, opts["seed"])
-        if opts["json"]:
-            print(json.dumps(estimate.as_json_dict()))
-        else:
-            print(
-                f"Vol ≈ {_fmt(estimate.mean, digits)} ± {_fmt(estimate.std_error, digits)} "
-                f"(samples={estimate.samples}, seed={estimate.seed})"
-            )
-        return 0
+        return _estimate(mc_volume(spec, samples, opts["seed"]), 1.0, digits)
 
     if method == "spectral":
-        if kind != "cyclic":
-            return _usage_error("the spectral trace route applies to the cyclic polytope only")
-        if n < 2:
-            return _usage_error("the spectral trace route requires n >= 2")
+        _require(kind == "cyclic", "the spectral trace route applies to the cyclic polytope only")
         grid = _bounded(opts, "grid", GRID_LIMIT)
-        factor = (2 / math.pi) ** n if scale == "unit" else 1.0
-        value = trace_power_nystrom(grid, n) * factor
-        if opts["json"]:
-            print(json.dumps({"trace": value, "grid": grid}))
-        else:
-            print(f"Vol ≈ {_fmt(value, digits)} (matrix trace at grid N={grid})")
-        return 0
+        value = trace_power_nystrom(grid, n) * ((2 / math.pi) ** n if scale == "unit" else 1.0)
+        text = f"Vol ≈ {_fmt(value, digits)} (matrix trace at grid N={grid})"
+        return {"trace": value, "grid": grid}, text
 
-    if method == "cube-integral":
-        if kind != "cyclic":
-            return _usage_error("the cube integral equals the cyclic volume; use kind=cyclic")
-        if n < 2:
-            return _usage_error("the cube integral route requires n >= 2")
-        samples = _bounded(opts, "samples", SAMPLES_LIMIT)
-        estimate = mc_cube_integral(n, samples, opts["seed"])
-        factor = (2 / math.pi) ** n if scale == "unit" else 1.0
-        payload = _scaled_estimate(estimate, factor)
-        if opts["json"]:
-            print(json.dumps(payload))
-        else:
-            print(
-                f"Vol ≈ {_fmt(payload['mean'], digits)} ± {_fmt(payload['std_error'], digits)} "
-                f"(samples={payload['samples']}, seed={payload['seed']})"
-            )
-        return 0
-
-    return _usage_error(f"unknown method {method!r}")
+    _require(kind == "cyclic", "the cube integral equals the cyclic volume; use kind=cyclic")
+    samples = _bounded(opts, "samples", SAMPLES_LIMIT)
+    factor = (2 / math.pi) ** n if scale == "unit" else 1.0
+    return _estimate(mc_cube_integral(n, samples, opts["seed"]), factor, digits)
 
 
-def cmd_ratio_limit(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
+def cmd_ratio_limit(args: argparse.Namespace, opts: dict) -> tuple[list, str]:
     m_max = args.m_max
-    if m_max < 1:
-        return _usage_error("m_max must be at least 1")
+    _require(m_max >= 1, "m_max must be at least 1")
+    _check_n(m_max, RATIO_LIMIT, "m_max")
     digits = opts["digits"]
     target = math.pi / 4
-    entries = []
-    for m in range(1, m_max + 1):
-        ratio = Fraction(cyclic_zigzag(2 * m), zigzag(2 * m))
-        error = abs(float(ratio) - target)
-        entries.append((m, ratio, error))
-    if opts["json"]:
-        payload = [
-            {"m": m, "ratio": str(r), "ratio_float": float(r), "abs_error": e}
-            for m, r, e in entries
-        ]
-        print(json.dumps(payload))
-        return 0
+    payload = []
     rows = [["m", "A0(2m)/A(2m)", "ratio", "|ratio - pi/4|", "decay"]]
     previous_error = None
-    for m, ratio, error in entries:
+    for m in range(1, m_max + 1):
+        ratio = Fraction(cyclic_zigzag(2 * m), zigzag(2 * m))
+        exact, approx = str(ratio), float(ratio)
+        error = abs(approx - target)
+        payload.append({"m": m, "ratio": exact, "ratio_float": approx, "abs_error": error})
         decay = "-" if not previous_error else _fmt(error / previous_error, 3)
-        rows.append([str(m), str(ratio), _fmt(float(ratio), digits), _fmt(error, 3), decay])
+        rows.append([str(m), exact, _fmt(approx, digits), _fmt(error, 3), decay])
         previous_error = error
-    print("ratio of cyclic to plain alternating counts; the limit is pi/4")
-    print(_format_table(rows))
+    text = "ratio of cyclic to plain alternating counts; the limit is pi/4\n" + _format_table(rows)
     if not opts["quiet"]:
-        print(f"  pi/4 ≈ {_fmt(target, digits)} (decay column reported, not asserted)")
-    return 0
+        text += f"\n  pi/4 ≈ {_fmt(target, digits)} (decay column reported, not asserted)"
+    return payload, text
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
+def cmd_verify(args: argparse.Namespace, opts: dict) -> tuple[report.VerificationReport, str]:
     result = report.run_suite(
         suite=args.suite,
         seed=opts["seed"],
         samples=_bounded(opts, "samples", SAMPLES_LIMIT),
         grid=_bounded(opts, "grid", GRID_LIMIT),
     )
-    if opts["json"]:
-        print(result.to_json())
-    else:
-        print(result.render_text(quiet=opts["quiet"]))
-    return 0 if result.all_passed() else 1
+    return result, result.render_text(quiet=opts["quiet"])
 
 
-def cmd_zigzag(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
+def cmd_zigzag(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     n = args.n
-    if n < 1:
-        return _usage_error("n must be positive")
+    _require(n >= 1, "n must be positive")
     _check_n(n, ZIGZAG_LIMIT)
-    if args.cyclic:
-        if n % 2 != 0:
-            return _usage_error("cyclic counts require even n")
-        value = cyclic_zigzag(n)
-    else:
-        value = zigzag(n)
-    if opts["json"]:
-        print(json.dumps({"n": n, "cyclic": bool(args.cyclic), "count": value}))
-    else:
-        print(value)
-    return 0
+    _require(not args.cyclic or n % 2 == 0, "cyclic counts require even n")
+    value = cyclic_zigzag(n) if args.cyclic else zigzag(n)
+    return {"n": n, "cyclic": bool(args.cyclic), "count": value}, str(value)
 
 
-def cmd_bernoulli(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
-    if args.n < 0:
-        return _usage_error("n must be nonnegative")
+def cmd_bernoulli(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
+    _require(args.n >= 0, "n must be nonnegative")
     _check_n(args.n, BERNOULLI_LIMIT)
-    value = bernoulli(args.n)
-    if opts["json"]:
-        print(json.dumps({"n": args.n, "value": str(value)}))
-    else:
-        print(value)
-    return 0
+    value = str(bernoulli(args.n))
+    return {"n": args.n, "value": value}, value
 
 
-def cmd_euler(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
-    if args.n < 0 or args.n % 2 != 0:
-        return _usage_error("Euler numbers are reported for even n >= 0")
+def cmd_euler(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
+    _require(args.n >= 0 and args.n % 2 == 0, "Euler numbers are reported for even n >= 0")
     _check_n(args.n, EULER_LIMIT)
     value = euler_number(args.n)
-    if opts["json"]:
-        print(json.dumps({"n": args.n, "value": value}))
-    else:
-        print(value)
-    return 0
+    return {"n": args.n, "value": value}, str(value)
 
 
-def cmd_g_eval(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
-    if not -1.0 < args.z < 1.0:
-        return _usage_error("need |z| < 1; the generating function has a pole at z = 1")
+def cmd_g_eval(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
+    _require(-1.0 < args.z < 1.0, "need |z| < 1; the generating function has a pole at z = 1")
     closed, series = g_eval(args.z, args.terms)
-    digits = opts["digits"]
-    if opts["json"]:
-        print(
-            json.dumps(
-                {
-                    "z": args.z,
-                    "terms": args.terms,
-                    "closed": closed,
-                    "series": series,
-                    "abs_diff": abs(closed - series),
-                }
-            )
-        )
-    else:
-        print(f"closed = {_fmt(closed, digits)}")
-        print(f"series = {_fmt(series, digits)} ({args.terms} terms)")
-        print(f"|closed - series| = {_fmt(abs(closed - series), 3)}")
-    return 0
+    diff, digits = abs(closed - series), opts["digits"]
+    payload = {
+        "z": args.z, "terms": args.terms, "closed": closed, "series": series, "abs_diff": diff
+    }
+    text = (
+        f"closed = {_fmt(closed, digits)}\n"
+        f"series = {_fmt(series, digits)} ({args.terms} terms)\n"
+        f"|closed - series| = {_fmt(diff, 3)}"
+    )
+    return payload, text
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
+def cmd_spectrum(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     top = args.top
     grid = _bounded(opts, "grid", GRID_LIMIT)
-    if top < 1:
-        return _usage_error("top must be at least 1")
-    if top > grid:
-        return _usage_error("top cannot exceed the grid size")
+    _require(top >= 1, "top must be at least 1")
+    _require(top <= grid, "top cannot exceed the grid size")
     digits = opts["digits"]
-    approximations = sym_eigenvalues(nystrom_matrix(grid), top)
-    entries = []
-    for rank, approx in enumerate(approximations):
+    eigenvalues = []
+    rows = [["k", "approx", "exact 1/(4k+1)", "abs error"]]
+    for rank, approx in enumerate(sym_eigenvalues(nystrom_matrix(grid), top)):
         k = (rank + 1) // 2 * (1 if rank % 2 == 0 else -1)
         exact_value = exact_eigenvalue(rank)
-        entries.append((k, approx, exact_value, abs(approx - exact_value)))
-    if opts["json"]:
-        payload = [
-            {"k": k, "approx": a, "exact": e, "abs_error": err}
-            for k, a, e, err in entries
-        ]
-        print(json.dumps({"grid": grid, "eigenvalues": payload}))
-        return 0
-    rows = [["k", "approx", "exact 1/(4k+1)", "abs error"]]
-    for k, approx, exact_value, err in entries:
+        err = abs(approx - exact_value)
+        eigenvalues.append({"k": k, "approx": approx, "exact": exact_value, "abs_error": err})
         rows.append([str(k), _fmt(approx, digits), _fmt(exact_value, digits), _fmt(err, 3)])
-    print(f"largest-magnitude matrix eigenvalues at grid N={grid}")
-    print(_format_table(rows))
-    return 0
+    text = f"largest-magnitude matrix eigenvalues at grid N={grid}\n" + _format_table(rows)
+    return {"grid": grid, "eigenvalues": eigenvalues}, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("ratio-limit", parents=[common], help="cyclic-to-plain count ratios")
-    p.add_argument("m_max", type=int)
+    p.add_argument("m_max", type=int, help=f"1 <= m_max <= {RATIO_LIMIT}")
     p.set_defaults(func=cmd_ratio_limit)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
@@ -522,12 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        opts = _resolve(args)
+        payload, text = args.func(args, opts)
+        verified = isinstance(payload, report.VerificationReport)
+        if opts["json"]:
+            text = payload.to_json() if verified else json.dumps(payload)
+        print(text)
+        return 1 if verified and not payload.all_passed() else 0
     except (ValueError, OSError, RuntimeError, OverflowError, MemoryError) as exc:
-        return _usage_error(str(exc) or type(exc).__name__)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,11 +45,75 @@ alternating permutation counts A(n) and cyclic counts A0(n), n = 1..10
   10  50521  39680
 """
 
+# Exit code, stdout and stderr of deterministic invocations, byte for byte.
+# BLAS-dependent floats (spectrum, volume ... spectral, verify spectral) are
+# left out: their last digits vary with the thread count.
+GOLDEN_INVOCATIONS = [
+    (("sums", "4"),
+     0, "S(4) = 1/96 · pi^4 ≈ 1.0146780316\nzeta(4) = 1/90 · pi^4 ≈ 1.08232323371\n", ""),
+    (("sums", "5", "--json"),
+     0, '{"n": 5, "s": {"coeff": "5/1536", "pi_power": 5, "float": 0.996157828077088}, "l4": {"coeff": "5/1536", "pi_power": 5, "float": 0.996157828077088}}\n', ""),
+    (("tables", "--json"),
+     0, '{"s_coeff": {"1": "1/4", "2": "1/8", "3": "1/32", "4": "1/96", "5": "5/1536", "6": "1/960", "7": "61/184320", "8": "17/161280", "9": "277/8257536", "10": "31/2903040"}, "zeta_coeff": {"2": "1/6", "4": "1/90", "6": "1/945", "8": "1/9450", "10": "1/93555"}, "bernoulli": {"0": "1", "2": "1/6", "4": "-1/30", "6": "1/42", "8": "-1/30", "10": "5/66"}, "euler": {"0": "1", "2": "-1", "4": "5", "6": "-61", "8": "1385"}, "zigzag": {"1": "1", "2": "1", "3": "2", "4": "5", "5": "16", "6": "61", "7": "272", "8": "1385", "9": "7936", "10": "50521"}, "cyclic_zigzag": {"2": "1", "4": "4", "6": "48", "8": "1088", "10": "39680"}}\n', ""),
+    (("volume", "cyclic", "3", "exact"),
+     0, "Vol = 1/32 · pi^3 ≈ 0.968946146259\nnote: no permutation-count route exists in odd cyclic dimension; the value is the series-coefficient route\n", ""),
+    (("volume", "cyclic", "3", "exact", "--quiet"),
+     0, "Vol = 1/32 · pi^3 ≈ 0.968946146259\n", ""),
+    (("volume", "cyclic", "4", "exact", "--json"),
+     0, '{"coeff": "1/96", "pi_power": 4, "float": 1.0146780316041917}\n', ""),
+    (("volume", "chain", "4", "extensions"),
+     0, "Vol = 5/24 ≈ 0.208333333333\n", ""),
+    (("volume", "cyclic", "4", "extensions", "--json"),
+     0, '{"coeff": "1/96", "pi_power": 4, "float": 1.0146780316041917}\n', ""),
+    (("volume", "cyclic", "3", "montecarlo", "--samples", "20000", "--seed", "7"),
+     0, "Vol ≈ 0.962357312465 ± 0.0118400972126 (samples=20000, seed=7)\n", ""),
+    (("volume", "chain", "3", "montecarlo", "--samples", "20000", "--seed", "3", "--json"),
+     0, '{"mean": 0.33515, "std_error": 0.0033378471916790916, "samples": 20000, "seed": 3}\n', ""),
+    (("volume", "cyclic", "2", "cube-integral", "--samples", "20000", "--seed", "1"),
+     0, "Vol ≈ 1.23103228246 ± 0.00589085352094 (samples=20000, seed=1)\n", ""),
+    (("volume", "cyclic", "2", "cube-integral", "--samples", "20000", "--seed", "1", "--scale", "unit", "--json"),
+     0, '{"mean": 0.49891859184136306, "std_error": 0.0023874730056192535, "samples": 20000, "seed": 1}\n', ""),
+    (("ratio-limit", "4", "--digits", "6"),
+     0, "ratio of cyclic to plain alternating counts; the limit is pi/4\n  m  A0(2m)/A(2m)  ratio     |ratio - pi/4|  decay\n  1  1             1         0.215           -\n  2  4/5           0.8       0.0146          0.068\n  3  48/61         0.786885  0.00149         0.102\n  4  1088/1385     0.78556   0.000161        0.109\n  pi/4 ≈ 0.785398 (decay column reported, not asserted)\n", ""),
+    (("ratio-limit", "4", "--quiet"),
+     0, "ratio of cyclic to plain alternating counts; the limit is pi/4\n  m  A0(2m)/A(2m)  ratio           |ratio - pi/4|  decay\n  1  1             1               0.215           -\n  2  4/5           0.8             0.0146          0.068\n  3  48/61         0.786885245902  0.00149         0.102\n  4  1088/1385     0.785559566787  0.000161        0.109\n", ""),
+    (("ratio-limit", "3", "--json"),
+     0, '[{"m": 1, "ratio": "1", "ratio_float": 1.0, "abs_error": 0.21460183660255172}, {"m": 2, "ratio": "4/5", "ratio_float": 0.8, "abs_error": 0.014601836602551765}, {"m": 3, "ratio": "48/61", "ratio_float": 0.7868852459016393, "abs_error": 0.0014870825041910507}]\n', ""),
+    (("zigzag", "10", "--cyclic", "--json"),
+     0, '{"n": 10, "cyclic": true, "count": 39680}\n', ""),
+    (("bernoulli", "10", "--json"),
+     0, '{"n": 10, "value": "5/66"}\n', ""),
+    (("euler", "8", "--json"),
+     0, '{"n": 8, "value": 1385}\n', ""),
+    (("g-eval", "0.5"),
+     0, "closed = 0.948059448969\nseries = 0.948059448969 (80 terms)\n|closed - series| = 0\n", ""),
+    (("g-eval", "-0.5", "--terms", "60", "--json"),
+     0, '{"z": -0.5, "terms": 60, "closed": -0.16266128557107162, "series": -0.16266128557107162, "abs_diff": 0.0}\n', ""),
+    (("verify", "numeric", "--quiet"),
+     0, "17 passed, 0 failed\n", ""),
+    (("sums", "0"),
+     2, "", "error: the sum diverges for n < 1; need n >= 1\n"),
+    (("volume", "chain", "3", "spectral"),
+     2, "", "error: the spectral trace route applies to the cyclic polytope only\n"),
+    (("ratio-limit", "0"),
+     2, "", "error: m_max must be at least 1\n"),
+    (("spectrum", "--grid", "50", "--top", "0"),
+     2, "", "error: top must be at least 1\n"),
+]
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err", GOLDEN_INVOCATIONS, ids=[" ".join(case[0]) for case in GOLDEN_INVOCATIONS]
+)
+def test_golden_invocation(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    assert run(capsys, *argv) == (code, out, err)
 
 
 class TestSums:
@@ -174,7 +238,7 @@ class TestVolume:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("volume", "chain", "11", "extensions"),
+            ("volume", "chain", str(polytope_lab.EXTENSION_LIMIT + 1), "extensions"),
             ("volume", "cyclic", "3", "extensions"),
             ("volume", "chain", "3", "spectral"),
             ("volume", "cyclic", "1", "spectral"),
@@ -186,6 +250,24 @@ class TestVolume:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err
+
+    def test_extensions_at_limit(self, capsys):
+        n = polytope_lab.EXTENSION_LIMIT
+        code, out, err = run(capsys, "volume", "chain", str(n), "extensions", "--json")
+        assert (code, err) == (0, "")
+        assert Fraction(json.loads(out)["coeff"]) == Fraction(zigzag(n), math.factorial(n))
+
+    def test_extensions_above_limit_build_no_poset(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a poset was built for a refused n")
+
+        for name in ("chain_poset", "cyclic_poset"):
+            monkeypatch.setattr(cli, name, refuse)
+        for kind, n in (("chain", polytope_lab.EXTENSION_LIMIT + 1), ("chain", 10**9),
+                        ("cyclic", polytope_lab.EXTENSION_LIMIT + 2)):
+            code, out, err = run(capsys, "volume", kind, str(n), "extensions")
+            assert (code, out) == (2, "")
+            assert err == f"error: extension counting supports n <= {polytope_lab.EXTENSION_LIMIT}\n"
 
     def test_unknown_method_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -314,9 +396,19 @@ class TestConfigFile:
         assert all(str(config) in line for line in warnings)
 
     def test_missing_config_is_fatal(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / "absent.cfg"))
-        with pytest.raises(SystemExit):
-            cli.main(["sums", "4"])
+        path = tmp_path / "absent.cfg"
+        monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+        code, out, err = run(capsys, "sums", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {path}: ")
+
+    def test_non_integer_config_value_is_fatal(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "settings.cfg"
+        config.write_text("seed=1\ndigits = four\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        code, out, err = run(capsys, "sums", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: config file {config}: digits must be an integer, not 'four'\n"
 
 
 class TestGridLimit:
@@ -502,6 +594,25 @@ class TestExactCaps:
         assert run(capsys, "bernoulli", str(cli.BERNOULLI_LIMIT)) == (0, "0\n", "")
         assert seen == [cli.BERNOULLI_LIMIT]
 
+    def test_ratio_limit_cap(self, capsys, monkeypatch):
+        m = cli.RATIO_LIMIT
+        code, out, err = run(capsys, "ratio-limit", str(m), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)[-1]["m"] == m
+        code, out, err = run(capsys, "ratio-limit", str(m), "--quiet")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].lstrip().startswith(f"{m}  ")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computation started for a refused m_max")
+
+        for name in ("zigzag", "cyclic_zigzag"):
+            monkeypatch.setattr(cli, name, refuse)
+        for m in (cli.RATIO_LIMIT + 1, 10**6):
+            code, out, err = run(capsys, "ratio-limit", str(m))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: m_max {m} exceeds the limit of {cli.RATIO_LIMIT}: ")
+
     def test_caps_are_the_largest_n_that_print(self):
         from zigzagsums.euler_sums import l4_coeff, s_coeff, zeta_coeff
 
@@ -522,6 +633,11 @@ class TestExactCaps:
 
         assert _fits(bernoulli_magnitude(cli.BERNOULLI_LIMIT - 1))
         assert not _fits(bernoulli_magnitude(cli.BERNOULLI_LIMIT + 1))
+
+        def ratio(m):
+            return Fraction(cyclic_zigzag(2 * m), zigzag(2 * m))
+
+        assert _fits(ratio(cli.RATIO_LIMIT)) and not _fits(ratio(cli.RATIO_LIMIT + 1))
 
 
 class TestErrorMapping:

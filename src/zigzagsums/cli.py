@@ -23,7 +23,9 @@ spectrum, verify) refuse a resolved grid above GRID_LIMIT, and the sampling
 commands (volume ... montecarlo, volume ... cube-integral, verify) resolved
 samples above SAMPLES_LIMIT.  sums, zigzag, bernoulli, euler and ratio-limit
 refuse n (m_max) above SUMS_LIMIT, ZIGZAG_LIMIT, BERNOULLI_LIMIT, EULER_LIMIT
-and RATIO_LIMIT, and volume ... extensions n above EXTENSION_LIMIT.  Each
+and RATIO_LIMIT, volume ... exact above VOLUME_LIMIT, volume ... extensions
+above EXTENSION_LIMIT, volume ... montecarlo|cube-integral above
+MC_DIMENSION_LIMIT, and g-eval refuses --terms above TERMS_LIMIT.  Each
 refusal exits 2 before any computation.
 """
 
@@ -73,13 +75,28 @@ SAMPLES_LIMIT = 10**8
 # command prints has more than 4300 decimal digits, Python's default limit on
 # int-to-string conversion: the numerator or denominator of pi^-n S(n) or of
 # its zeta/L partner from n = 1425, A(n) and A0(n) from n = 1660 (so also
-# E_n), the numerator of B_n from n = 2064, and the ratio A0(2m)/A(2m) from
-# m = 830.
+# E_n), the numerator of B_n from n = 2064, the ratio A0(2m)/A(2m) from
+# m = 830, and the exact volume of chain/half_pi, A(n)/(2^n n!), from
+# n = 1424 (cyclic/half_pi from 1425, chain/unit from 1562, cyclic/unit
+# from 1563).
 SUMS_LIMIT = 1424
 ZIGZAG_LIMIT = 1659
 BERNOULLI_LIMIT = 2063
 EULER_LIMIT = 1658
 RATIO_LIMIT = 829
+VOLUME_LIMIT = 1423
+
+# Largest g-eval --terms: each term is an exact S(k) rounded to a float, and
+# 1424 terms (the largest n that sums answers) take about 1.2 s cold on
+# 2 CPUs; the cost grows about cubically (3000 terms: 12 s).
+TERMS_LIMIT = 1424
+
+# Largest Monte Carlo dimension: each pool worker draws blocks of
+# BLOCK_ROWS x n float64, 131 kB per dimension, so 4.2 MB at n = 32, four
+# times the block at the n = 8 the verify suite uses.  Run time grows with n
+# too: 10^6 volume samples take about 0.1 s at n = 8 and 0.5 s at n = 32 on
+# 2 CPUs.
+MC_DIMENSION_LIMIT = 32
 
 VOLUME_METHODS = ("exact", "extensions", "montecarlo", "spectral", "cube-integral")
 
@@ -224,6 +241,7 @@ def cmd_volume(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     spec = PolytopeSpec(kind, n, scale)
 
     if method == "exact":
+        _check_n(n, VOLUME_LIMIT)
         payload, text = _exact("Vol", volume_formula(spec), digits)
         if kind == "cyclic" and n % 2 == 1 and not opts["quiet"]:
             text += (
@@ -239,6 +257,9 @@ def cmd_volume(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
         if scale == "half_pi":
             return _exact("Vol", PiMultiple(unit_volume / 2**n, n), digits)
         return _exact("Vol", PiMultiple(unit_volume, 0), digits)
+
+    if method in ("montecarlo", "cube-integral"):
+        _require(n <= MC_DIMENSION_LIMIT, f"Monte Carlo supports n <= {MC_DIMENSION_LIMIT}")
 
     if method == "montecarlo":
         samples = _bounded(opts, "samples", SAMPLES_LIMIT)
@@ -315,6 +336,7 @@ def cmd_euler(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
 
 def cmd_g_eval(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     _require(-1.0 < args.z < 1.0, "need |z| < 1; the generating function has a pole at z = 1")
+    _require(args.terms <= TERMS_LIMIT, f"terms {args.terms} exceeds the limit of {TERMS_LIMIT}")
     closed, series = g_eval(args.z, args.terms)
     diff, digits = abs(closed - series), opts["digits"]
     payload = {
@@ -404,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("g-eval", parents=[common], help="generating function, closed vs series")
     p.add_argument("z", type=float)
-    p.add_argument("--terms", type=int, default=80)
+    p.add_argument("--terms", type=int, default=80, help=f"1 <= terms <= {TERMS_LIMIT}")
     p.set_defaults(func=cmd_g_eval)
 
     p = sub.add_parser("spectrum", parents=[common], help="matrix eigenvalues vs 1/(4k+1)")

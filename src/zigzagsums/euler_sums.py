@@ -2,22 +2,26 @@
 
 S(n) is the two-sided sum of (4k+1)^(-n) over all integers k.  For every
 n >= 1 it is an exact rational multiple of pi^n, and this module computes
-that rational by three independent exact routes plus direct float summation:
+that rational by these routes, plus direct float summation:
 
   s_coeff               A(n-1) / (2^(n+1) (n-1)!), from the zigzag counts
   s_coeff_via_bernoulli (-1)^(m-1) (2^2m - 1) B_2m / (2 (2m)!)   for n = 2m
   s_coeff_via_euler     (-1)^m E_2m / (2^(2m+2) (2m)!)           for n = 2m+1
   s_numeric             truncated summation with a rigorous tail bound
 
+Only the Bernoulli route is independent of the zigzag counts.  The Euler
+route is not: euler_number(2m) is defined as (-1)^m A(2m), so
+s_coeff_via_euler equals s_coeff by construction, and so does l4_coeff.
+Their checks test the conversion constants, not a second computation.
+
 The Bernoulli and Euler conversion constants are the calibrated forms: the
 variants sometimes printed without the factorial factor (or with it moved
-into the denominator) contradict the exact coefficient tables, and the test
-suite enforces agreement of all three routes before anything else uses them.
+into the denominator) contradict the exact coefficient tables, which the
+test suite checks before anything else uses them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -95,13 +99,6 @@ class PiMultiple:
 
     def as_json_dict(self) -> dict:
         return {"coeff": str(self.coeff), "pi_power": self.power}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> PiMultiple:
-        return cls(Fraction(data["coeff"]), int(data["pi_power"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_json_dict())
 
 
 def s_coeff(n: int) -> Fraction:

@@ -1,10 +1,8 @@
-"""Exact arithmetic: rationals, polynomials in pi, and polynomials in v over them.
+"""Exact arithmetic: polynomials in pi over the rationals, and polynomials in v over them.
 
-Three layers, all immutable and exact:
+Two layers on top of fractions.Fraction, all immutable and exact:
 
-  BigRational   arbitrary-precision rational (an alias of fractions.Fraction,
-                which already guarantees lowest terms and a positive denominator)
-  PiPoly        sum of c_d * pi^d with BigRational c_d, stored sparsely by degree
+  PiPoly        sum of c_d * pi^d with Fraction c_d, stored sparsely by degree
   VPiPoly       polynomial in a real variable v whose coefficients are PiPoly
                 values, i.e. sum of p_j(pi) * v^j
 
@@ -22,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
-
-BigRational = Fraction
 
 RationalLike = Union[Fraction, int]
 

@@ -311,13 +311,6 @@ def mc_volume(spec: PolytopeSpec, samples: int, seed: int) -> McEstimate:
     return McEstimate(p_hat * box, std_error, samples, seed)
 
 
-def cube_integrand(x: Sequence[float], n: int) -> float:
-    """1 / (1 - (prod x)^2) for even n, 1 / (1 + (prod x)^2) for odd n."""
-    t = math.prod(x)
-    sign = -1.0 if n % 2 == 0 else 1.0
-    return 1.0 / (1.0 + sign * t * t)
-
-
 def _chunk_cube_sums(n: int, seed: int, samples: int, index: int) -> tuple[float, float]:
     """Sum of the cube integrand and of its square over the points of chunk ``index``."""
     sign = -1.0 if n % 2 == 0 else 1.0
@@ -346,15 +339,6 @@ def mc_cube_integral(n: int, samples: int, seed: int) -> McEstimate:
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0)
     return McEstimate(mean, math.sqrt(variance / samples), samples, seed)
-
-
-def t_to_v_transform(t: Sequence[float]) -> tuple[float, ...]:
-    """Flip even-indexed coordinates: v_i = t_i (i odd), 1 - t_i (i even), 1-based.
-
-    An involution with Jacobian +-1; it carries the alternating-chain
-    inequalities to the pairwise constraints v_i + v_{i+1} < 1.
-    """
-    return tuple(x if i % 2 == 0 else 1.0 - x for i, x in enumerate(t))
 
 
 def forward_map(u: Sequence[float]) -> tuple[float, ...]:

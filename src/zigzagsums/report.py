@@ -29,6 +29,7 @@ from .euler_sums import (
     s_coeff_via_bernoulli,
     s_coeff_via_euler,
     s_numeric,
+    s_value,
     zeta_coeff,
 )
 from .polytope_lab import (
@@ -110,12 +111,6 @@ class VerificationReport:
             "metadata": self.metadata,
         }
         return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> VerificationReport:
-        payload = json.loads(text)
-        checks = [CheckResult(**c) for c in payload["checks"]]
-        return cls(checks=checks, metadata=payload["metadata"])
 
     def render_text(self, quiet: bool = False) -> str:
         lines = []
@@ -259,7 +254,7 @@ def _exact_checks(rec: _Recorder, enumeration_limit: int = 10) -> None:
 def _numeric_checks(rec: _Recorder) -> None:
     for n in range(2, 11):
         value, tail = s_numeric(n, 10**5)
-        exact_value = float(s_coeff(n)) * math.pi**n
+        exact_value = s_value(n).to_float()
         rec.close(f"numeric.s_numeric.{n}",
                   f"truncated summation of S({n}) within its tail bound",
                   exact_value, value, tail + 1e-9)
@@ -293,7 +288,7 @@ def _montecarlo_pass(rec: _Recorder, seed: int, samples: int, suffix: str) -> bo
                 ok, exact_value, estimate.mean, tol)
     for n in (2, 3):
         estimate = mc_cube_integral(n, samples, seed)
-        exact_value = float(s_coeff(n)) * math.pi**n
+        exact_value = s_value(n).to_float()
         tol = 4 * estimate.std_error
         ok = abs(estimate.mean - exact_value) <= tol
         all_ok &= ok
@@ -330,7 +325,7 @@ def _spectral_checks(rec: _Recorder, grid: int) -> None:
     rec.exact("spectral.multiplicity", "top eigenvalues pairwise distinct beyond tolerance",
               True, gaps_ok)
     for n in (2, 3, 4):
-        exact_value = float(s_coeff(n)) * math.pi**n
+        exact_value = s_value(n).to_float()
         trace = trace_power_nystrom(grid, n)
         rec.close(f"spectral.trace.{n}",
                   f"trace of the {n}-th matrix power within 1% of S({n}) at N={grid}",

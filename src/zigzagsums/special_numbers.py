@@ -48,7 +48,7 @@ class SequenceCache:
 _CACHE = SequenceCache()
 
 
-def bernoulli(n: int, cache: SequenceCache | None = None) -> Fraction:
+def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_0 = 1, B_1 = -1/2, and B_odd = 0 for n >= 3.
 
     Computed by the defining recurrence sum_{m=0}^{k} C(k+1, m) B_m = 0,
@@ -63,8 +63,7 @@ def bernoulli(n: int, cache: SequenceCache | None = None) -> Fraction:
     """
     if n < 0:
         raise ValueError("Bernoulli numbers are indexed by n >= 0")
-    cache = cache or _CACHE
-    known, scaled = cache.bernoulli, cache.scaled_bernoulli
+    known, scaled = _CACHE.bernoulli, _CACHE.scaled_bernoulli
     for k in range(len(scaled), n + 1):
         coeff = factorial(k)  # C(k+1, 0) k! / 1!
         acc = 0
@@ -107,7 +106,7 @@ def power_sum(N: int, p: int) -> PowerSum:
     return PowerSum(direct, via)
 
 
-def zigzag(n: int, cache: SequenceCache | None = None) -> int:
+def zigzag(n: int) -> int:
     """Number A(n) of alternating permutations of {1..n}, with A(0) = 1.
 
     Uses the boustrophedon triangle: each row is the reversed cumulative sum
@@ -115,7 +114,7 @@ def zigzag(n: int, cache: SequenceCache | None = None) -> int:
     """
     if n < 0:
         raise ValueError("zigzag counts are indexed by n >= 0")
-    cache = cache or _CACHE
+    cache = _CACHE
     while len(cache._row) <= n:
         prev = cache._row[::-1]
         row = [0]
@@ -226,15 +225,3 @@ def euler_number(n: int) -> int:
         raise ValueError("only even-order Euler numbers are supported")
     return (-1) ** (n // 2) * zigzag(n)
 
-
-def rotate_by_two(perm: Sequence[int], j: int) -> Permutation:
-    """The rotation (sigma(2j+1), sigma(2j+2), ...) with cyclic index wrap.
-
-    Rotating by an even offset preserves the cyclically-alternating property;
-    the length must be even.
-    """
-    n = len(perm)
-    if n % 2 != 0:
-        raise ValueError("rotation by two positions requires even length")
-    shift = (2 * j) % n
-    return tuple(perm[(shift + i) % n] for i in range(n))

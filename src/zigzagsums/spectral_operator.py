@@ -34,11 +34,6 @@ HALF_PI = math.pi / 2
 T_POWER_LIMIT = 40
 
 
-def k1(u: float, v: float) -> int:
-    """Indicator of the open triangle: 1 iff u + v < pi/2, boundary outside."""
-    return 1 if u + v < HALF_PI else 0
-
-
 def grid_midpoints(N: int) -> np.ndarray:
     """Midpoints u_j = (j + 1/2) (pi/2) / N of an N-cell grid on (0, pi/2)."""
     if N < 2:
@@ -47,42 +42,11 @@ def grid_midpoints(N: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Samples of a function at the N grid midpoints."""
-
-    N: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if self.N < 2 or values.shape != (self.N,):
-            raise ValueError("values must be a length-N vector with N >= 2")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def ones(cls, N: int) -> GridFunction:
-        return cls(N, np.ones(N))
-
-    def midpoints(self) -> np.ndarray:
-        return grid_midpoints(self.N)
-
-
-@dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Midpoint Nystrom matrix: entries w * k1(u_i, u_j) with weight w = (pi/2)/N."""
+    """Midpoint Nystrom matrix: entries (pi/2)/N on cells inside the open triangle, else 0."""
 
     N: int
     entries: np.ndarray
-
-    @property
-    def weight(self) -> float:
-        return HALF_PI / self.N
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        """Discrete operator application; approximates the integral transform."""
-        if f.N != self.N:
-            raise ValueError("grid sizes do not match")
-        return GridFunction(self.N, self.entries @ f.values)
 
 
 def nystrom_matrix(N: int) -> KernelMatrix:
@@ -98,11 +62,6 @@ def nystrom_matrix(N: int) -> KernelMatrix:
     index = np.arange(N)
     entries = np.where(np.less.outer(index, N - 1 - index), w, 0.0)
     return KernelMatrix(N, entries)
-
-
-def apply_T_poly(f: VPiPoly) -> VPiPoly:
-    """Exact operator application to a polynomial: integral from 0 to pi/2 - v."""
-    return f.integral_to_reflection()
 
 
 def _q_iterate(n: int) -> tuple[list[int], int]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from zigzagsums import cli, polytope_lab, report
+from zigzagsums.polytope_lab import PolytopeSpec, volume_formula
 from zigzagsums.special_numbers import cyclic_zigzag, euler_number, zigzag
 from zigzagsums.report import CheckResult, VerificationReport
 
@@ -327,6 +328,23 @@ class TestGEval:
     def test_pole(self, capsys):
         assert run(capsys, "g-eval", "1.0")[0] == 2
 
+    def test_terms_at_cap(self, capsys):
+        code, out, err = run(capsys, "g-eval", "0.5", "--terms", str(cli.TERMS_LIMIT), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["terms"] == cli.TERMS_LIMIT
+        assert payload["abs_diff"] < 1e-12
+
+    def test_terms_above_cap_exit_2_before_summing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("summation started for refused terms")
+
+        monkeypatch.setattr(cli, "g_eval", refuse)
+        for terms in (cli.TERMS_LIMIT + 1, 10**8):
+            code, out, err = run(capsys, "g-eval", "0.5", "--terms", str(terms))
+            assert (code, out) == (2, "")
+            assert err == f"error: terms {terms} exceeds the limit of {cli.TERMS_LIMIT}\n"
+
 
 class TestSpectrum:
     def test_report_lists_exact_values(self, capsys):
@@ -353,7 +371,10 @@ class TestVerify:
         assert code == 0
         _, second, _ = run(capsys, "verify", "numeric", "--json", "--seed", "42")
         assert first == second
-        parsed = VerificationReport.from_json(first)
+        payload = json.loads(first)
+        parsed = VerificationReport(
+            [CheckResult(**c) for c in payload["checks"]], payload["metadata"]
+        )
         assert parsed.to_json() == first.rstrip("\n")
 
     def test_failure_exit_code(self, capsys, monkeypatch):
@@ -519,6 +540,28 @@ class TestSamplesLimit:
         assert out.startswith("Vol = 1/8 · pi^2")
 
 
+class TestMonteCarloDimensionLimit:
+    @pytest.mark.parametrize("method", ["montecarlo", "cube-integral"])
+    def test_dimension_at_cap(self, capsys, method):
+        n = str(cli.MC_DIMENSION_LIMIT)
+        code, out, err = run(capsys, "volume", "cyclic", n, method, "--samples", "10000", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["samples"] == 10000
+
+    @pytest.mark.parametrize("kind", ["cyclic", "chain"])
+    @pytest.mark.parametrize("method", ["montecarlo", "cube-integral"])
+    def test_dimension_above_cap_exits_2_before_sampling(self, capsys, monkeypatch, kind, method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started for a refused dimension")
+
+        for name in ("mc_volume", "mc_cube_integral"):
+            monkeypatch.setattr(cli, name, refuse)
+        for n in (cli.MC_DIMENSION_LIMIT + 1, 10**6):
+            code, out, err = run(capsys, "volume", kind, str(n), method)
+            assert (code, out) == (2, "")
+            assert err == f"error: Monte Carlo supports n <= {cli.MC_DIMENSION_LIMIT}\n"
+
+
 def _fits(value):
     """True iff every integer printed for value converts to text under Python's 4300-digit limit."""
     if isinstance(value, Fraction):
@@ -585,6 +628,29 @@ class TestExactCaps:
         code, out, _ = run(capsys, "euler", str(n), "--json")
         assert json.loads(out)["value"] == euler_number(n)
 
+    @pytest.mark.parametrize("kind", ["chain", "cyclic"])
+    @pytest.mark.parametrize("scale", ["unit", "half_pi"])
+    def test_volume_exact_at_cap(self, capsys, kind, scale):
+        n = cli.VOLUME_LIMIT
+        code, out, err = run(capsys, "volume", kind, str(n), "exact", "--scale", scale, "--quiet")
+        assert (code, err) == (0, "")
+        assert out.startswith("Vol = ")
+        code, out, _ = run(capsys, "volume", kind, str(n), "exact", "--scale", scale, "--json")
+        assert code == 0
+        assert json.loads(out)["coeff"] == str(volume_formula(PolytopeSpec(kind, n, scale)).coeff)
+
+    @pytest.mark.parametrize("kind", ["chain", "cyclic"])
+    def test_volume_exact_above_cap_exits_2_before_computing(self, capsys, monkeypatch, kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computation started for a refused n")
+
+        monkeypatch.setattr(cli, "volume_formula", refuse)
+        for n in (cli.VOLUME_LIMIT + 1, 10**6):
+            code, out, err = run(capsys, "volume", kind, str(n), "exact")
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: n {n} exceeds the limit of {cli.VOLUME_LIMIT}: ")
+            assert "4300 decimal digits" in err
+
     def test_bernoulli_cap_is_accepted(self, capsys, monkeypatch):
         # B_n for n near the cap takes about a minute through the recurrence;
         # the value at the odd cap is 0, so the gate is tested with it stubbed.
@@ -638,6 +704,16 @@ class TestExactCaps:
             return Fraction(cyclic_zigzag(2 * m), zigzag(2 * m))
 
         assert _fits(ratio(cli.RATIO_LIMIT)) and not _fits(ratio(cli.RATIO_LIMIT + 1))
+
+        def volumes(n):
+            return [
+                volume_formula(PolytopeSpec(kind, n, scale)).coeff
+                for kind in ("chain", "cyclic")
+                for scale in ("unit", "half_pi")
+            ]
+
+        assert all(_fits(v) for v in volumes(cli.VOLUME_LIMIT))
+        assert not all(_fits(v) for v in volumes(cli.VOLUME_LIMIT + 1))
 
 
 class TestErrorMapping:

@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 from fractions import Fraction
@@ -154,11 +153,6 @@ class TestPiMultiple:
         assert s_value(4).text() == "1/96 · pi^4"
         assert s_value(1).text() == "1/4 · pi"
         assert PiMultiple(Fraction(5, 24)).text() == "5/24"
-
-    def test_json_round_trip(self):
-        value = s_value(9)
-        blob = value.to_json()
-        assert PiMultiple.from_json_dict(json.loads(blob)) == value
 
     def test_to_float(self):
         assert s_value(2).to_float() == pytest.approx(math.pi**2 / 8, abs=1e-15)

@@ -4,35 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zigzagsums.exact_arith import HALF_PI, BigRational, PiPoly, VPiPoly
-
-
-class TestBigRational:
-    def test_addition(self):
-        assert BigRational(1, 6) + BigRational(-1, 30) == BigRational(2, 15)
-
-    def test_inverse_pair(self):
-        assert BigRational(1, 8) * BigRational(8, 1) == 1
-
-    def test_compare_by_cross_multiplication(self):
-        # oracle: a/b < c/d iff a*d < c*b for positive denominators
-        a, b, c, d = 61, 184320, 17, 161280
-        assert (a * d < c * b) == (BigRational(a, b) < BigRational(c, d))
-        # 61 * 161280 = 9838080 > 17 * 184320 = 3133440, so 61/184320 is larger
-        assert BigRational(61, 184320) > BigRational(17, 161280)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            BigRational(1, 2) / BigRational(0)
-
-    def test_results_normalized(self):
-        rng = random.Random(20240)
-        for _ in range(200):
-            a = BigRational(rng.randint(-50, 50), rng.randint(1, 50))
-            b = BigRational(rng.randint(-50, 50), rng.randint(1, 50))
-            for value in (a + b, a - b, a * b):
-                assert value.denominator > 0
-                assert math.gcd(abs(value.numerator), value.denominator) == 1
+from zigzagsums.exact_arith import HALF_PI, PiPoly, VPiPoly
 
 
 def random_pipoly(rng: random.Random) -> PiPoly:

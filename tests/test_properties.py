@@ -9,6 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from zigzagsums import special_numbers  # noqa: E402
 from zigzagsums.exact_arith import HALF_PI  # noqa: E402
 from zigzagsums.special_numbers import (  # noqa: E402
     SequenceCache,
@@ -28,10 +29,14 @@ PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 @PROPERTY_SETTINGS
 @given(st.lists(st.integers(min_value=0, max_value=150), min_size=1, max_size=6))
 def test_bernoulli_is_independent_of_cache_growth_order(queries):
-    grown = SequenceCache()
-    values = [bernoulli(n, grown) for n in queries]
-    assert values == [bernoulli(n) for n in queries]
-    assert values == [bernoulli(n, SequenceCache()) for n in queries]
+    shared = [bernoulli(n) for n in queries]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(special_numbers, "_CACHE", SequenceCache())
+        assert [bernoulli(n) for n in queries] == shared
+    for n, value in zip(queries, shared):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(special_numbers, "_CACHE", SequenceCache())
+            assert bernoulli(n) == value
 
 
 @PROPERTY_SETTINGS

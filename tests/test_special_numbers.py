@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from zigzagsums import special_numbers
 from zigzagsums.special_numbers import (
     SequenceCache,
     _pattern_leaves,
@@ -14,7 +15,6 @@ from zigzagsums.special_numbers import (
     is_alternating,
     is_cyclically_alternating,
     power_sum,
-    rotate_by_two,
     zigzag,
     zigzag_bruteforce,
 )
@@ -53,25 +53,30 @@ def _bernoulli_oracle(n):
     return known
 
 
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """A new, empty SequenceCache installed as the module's shared cache."""
+    cache = SequenceCache()
+    monkeypatch.setattr(special_numbers, "_CACHE", cache)
+    return cache
+
+
 class TestScaledBernoulliRecurrence:
     ORACLE = _bernoulli_oracle(200)
 
-    def test_fresh_cache_matches_oracle(self):
-        cache = SequenceCache()
-        assert bernoulli(200, cache) == self.ORACLE[200]
-        assert [bernoulli(n, cache) for n in range(201)] == self.ORACLE
+    def test_fresh_cache_matches_oracle(self, fresh_cache):
+        assert bernoulli(200) == self.ORACLE[200]
+        assert [bernoulli(n) for n in range(201)] == self.ORACLE
 
-    def test_cache_grown_in_steps_matches_oracle(self):
-        cache = SequenceCache()
+    def test_cache_grown_in_steps_matches_oracle(self, fresh_cache):
         for n in (0, 1, 2, 3, 7, 8, 50, 51, 120, 119, 200):
-            assert bernoulli(n, cache) == self.ORACLE[n]
-        assert [bernoulli(n, cache) for n in range(201)] == self.ORACLE
+            assert bernoulli(n) == self.ORACLE[n]
+        assert [bernoulli(n) for n in range(201)] == self.ORACLE
 
-    def test_cache_keeps_scaled_integers(self):
-        cache = SequenceCache()
-        bernoulli(60, cache)
-        assert sorted(cache.scaled_bernoulli) == list(range(61))
-        for k, c in cache.scaled_bernoulli.items():
+    def test_cache_keeps_scaled_integers(self, fresh_cache):
+        bernoulli(60)
+        assert sorted(fresh_cache.scaled_bernoulli) == list(range(61))
+        for k, c in fresh_cache.scaled_bernoulli.items():
             assert isinstance(c, int)
             assert c == self.ORACLE[k] * factorial(k + 1)
 
@@ -113,10 +118,10 @@ class TestZigzag:
         with pytest.raises(ValueError):
             zigzag_bruteforce(0)
 
-    def test_fresh_cache_matches_shared(self):
-        cache = SequenceCache()
-        assert [zigzag(n, cache) for n in range(12)] == [zigzag(n) for n in range(12)]
-        assert [bernoulli(n, cache) for n in range(12)] == [bernoulli(n) for n in range(12)]
+    def test_fresh_cache_matches_shared(self, monkeypatch):
+        shared = [zigzag(n) for n in range(12)], [bernoulli(n) for n in range(12)]
+        monkeypatch.setattr(special_numbers, "_CACHE", SequenceCache())
+        assert ([zigzag(n) for n in range(12)], [bernoulli(n) for n in range(12)]) == shared
 
 
 class TestCyclicZigzag:
@@ -203,16 +208,6 @@ class TestPredicates:
 
 
 class TestRotation:
-    def test_examples(self):
-        assert rotate_by_two((1, 2), 0) == (1, 2)
-        # shift by two positions: (sigma(3), sigma(4), sigma(1), sigma(2))
-        assert rotate_by_two((1, 4, 2, 3), 1) == (2, 3, 1, 4)
-        assert rotate_by_two((1, 2), 1) == (1, 2)
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            rotate_by_two((1, 3, 2), 1)
-
     @pytest.mark.parametrize("n", [4, 6])
     def test_orbits(self, n):
         cyclics = [
@@ -222,7 +217,8 @@ class TestRotation:
         ]
         assert len(cyclics) == cyclic_zigzag(n)
         for p in cyclics:
-            orbit = {rotate_by_two(p, j) for j in range(n // 2)}
+            # rotations by an even offset: (sigma(2j+1), sigma(2j+2), ..., sigma(2j))
+            orbit = {p[2 * j :] + p[: 2 * j] for j in range(n // 2)}
             assert len(orbit) == n // 2
             assert all(is_cyclically_alternating(q) for q in orbit)
             assert sum(1 for q in orbit if q[-1] == n) == 1

@@ -7,15 +7,12 @@ import pytest
 from zigzagsums.exact_arith import HALF_PI, PiPoly, VPiPoly
 from zigzagsums.special_numbers import zigzag
 from zigzagsums.spectral_operator import (
-    GridFunction,
     T_POWER_LIMIT,
-    apply_T_poly,
     eigenfunction_residual,
     exact_eigenvalue,
     fourier_coeff_const,
     grid_midpoints,
     inner_product_one,
-    k1,
     nystrom_matrix,
     parseval_sum,
     sym_eigenvalues,
@@ -24,22 +21,11 @@ from zigzagsums.spectral_operator import (
 )
 
 
-class TestKernel:
-    def test_inside(self):
-        assert k1(0.1, 0.2) == 1
-
-    def test_outside(self):
-        assert k1(1.0, 1.0) == 0
-
-    def test_boundary_counts_as_outside(self):
-        assert k1(math.pi / 4, math.pi / 4) == 0
-
-
 def _vpipoly_iterate(n):
     """Oracle: T^n 1 by n symbolic applications of the operator to VPiPoly values."""
     result = VPiPoly.one()
     for _ in range(n):
-        result = apply_T_poly(result)
+        result = result.integral_to_reflection()
     return result
 
 
@@ -58,21 +44,21 @@ class TestHomogeneousIterates:
 class TestExactOperator:
     def test_applied_to_one(self):
         expected = VPiPoly.from_dict({0: HALF_PI, 1: PiPoly.rational(-1)})
-        assert apply_T_poly(VPiPoly.one()) == expected
+        assert VPiPoly.one().integral_to_reflection() == expected
 
     def test_applied_twice(self):
         expected = VPiPoly.from_dict(
             {0: PiPoly.pi_power(2, Fraction(1, 8)), 2: PiPoly.rational(Fraction(-1, 2))}
         )
-        assert apply_T_poly(apply_T_poly(VPiPoly.one())) == expected
+        assert VPiPoly.one().integral_to_reflection().integral_to_reflection() == expected
 
     def test_applied_to_zero(self):
-        assert apply_T_poly(VPiPoly.zero()) == VPiPoly.zero()
+        assert VPiPoly.zero().integral_to_reflection() == VPiPoly.zero()
 
     def test_iterates(self):
         assert t_power_one(0) == VPiPoly.one()
-        assert t_power_one(1) == apply_T_poly(VPiPoly.one())
-        assert t_power_one(2) == apply_T_poly(t_power_one(1))
+        assert t_power_one(1) == VPiPoly.one().integral_to_reflection()
+        assert t_power_one(2) == t_power_one(1).integral_to_reflection()
 
     def test_iterate_degree_and_root(self):
         for n in range(1, 13):
@@ -144,7 +130,10 @@ class TestNystromMatrix:
         w = math.pi / 4
         mids = grid_midpoints(2)
         assert mids == pytest.approx([math.pi / 8, 3 * math.pi / 8])
-        derived = [[k1(mids[i], mids[j]) * w for j in range(2)] for i in range(2)]
+        # the kernel: indicator of the open triangle u + v < pi/2
+        derived = [
+            [w if mids[i] + mids[j] < math.pi / 2 else 0.0 for j in range(2)] for i in range(2)
+        ]
         assert np.array_equal(matrix.entries, derived)
         # the off-diagonal midpoints sum exactly to pi/2, which the open
         # triangle excludes, so those entries are 0
@@ -152,7 +141,7 @@ class TestNystromMatrix:
 
     def test_entries_binary(self):
         matrix = nystrom_matrix(64)
-        w = matrix.weight
+        w = math.pi / 2 / 64
         assert np.isin(matrix.entries, (0.0, w)).all()
 
     def test_symmetry(self):
@@ -162,9 +151,9 @@ class TestNystromMatrix:
     def test_row_sums_approximate_operator_on_one(self):
         N = 500
         matrix = nystrom_matrix(N)
-        applied = matrix.apply(GridFunction.ones(N))
+        applied = matrix.entries @ np.ones(N)
         expected = math.pi / 2 - grid_midpoints(N)
-        assert np.max(np.abs(applied.values - expected)) < 2 * (math.pi / 2) / N
+        assert np.max(np.abs(applied - expected)) < 2 * (math.pi / 2) / N
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):

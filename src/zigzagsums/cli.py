@@ -67,8 +67,9 @@ DEFAULTS = {"digits": 12, "seed": 0, "samples": 10**6, "grid": 2000}
 # (134 MB at N = 4096) and the trace route holds several such arrays.
 GRID_LIMIT = 4096
 
-# Largest Monte Carlo sample count accepted: about 6 s per estimate at the
-# 1.7e7 samples/s measured on 2 CPUs; run time is linear in the count.
+# Largest Monte Carlo sample count accepted.  Run time is linear in the count
+# and grows with the dimension: 0.11 s per 10^6 samples at n = 8 and 0.49 s
+# at n = 32 on 2 CPUs, so an estimate at the cap takes up to about 50 s.
 SAMPLES_LIMIT = 10**8
 
 # Largest n each exact command answers.  Above it, some exact value the

@@ -11,7 +11,10 @@ Two complementary views are implemented:
     (VPiPoly) and their inner products with 1 come out exact;
   * numeric: a midpoint-rule Nystrom matrix whose spectrum approximates the
     true eigenvalues 1/(4k+1) (eigenfunctions cos((4k+1)u)) and whose matrix
-    powers approximate operator traces.
+    powers approximate operator traces.  The spectrum of that matrix has a
+    closed form (see ``sym_eigenvalues``), evaluated in O(top) operations;
+    the test suite checks it against LAPACK's dense symmetric solver.  The
+    traces come from matrix powers, independently of the closed form.
 
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
@@ -32,6 +35,9 @@ HALF_PI = math.pi / 2
 
 # Degree of the exact operator iterates grows linearly; keep desk scale.
 T_POWER_LIMIT = 40
+
+# Grid rows per block of the eigenfunction residual's cosine quadrature.
+RESIDUAL_ROWS = 256
 
 
 def grid_midpoints(N: int) -> np.ndarray:
@@ -145,16 +151,40 @@ def parseval_sum(n: int, K: int) -> float:
 
 
 def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:
-    """The ``top`` eigenvalues of largest magnitude, descending by |lambda|.
+    """The ``top`` eigenvalues of largest magnitude of ``nystrom_matrix(matrix.N)``.
 
-    For the Nystrom matrix these approximate 1, -1/3, 1/5, -1/7, 1/9, ...
-    computed by numpy's (LAPACK) symmetric solver.
+    For N cells they are, descending by |lambda|,
+
+        lambda_k = (pi/2N) (-1)^(k+1) / (2 sin((2k-1) pi / (2(2N-1)))),  k = 1..N-1,
+
+    followed by 0; they approximate 1, -1/3, 1/5, -1/7, 1/9, ...  Only
+    ``matrix.N`` is read.
+
+    Derivation: the last row and column of the matrix are empty (i + j + 1 < N
+    fails for i = N-1), which gives the eigenvalue 0.  With m = N-1, the
+    leading m x m block is (pi/2N) J, where J has ones on and above the
+    anti-diagonal (i + j <= m-1).  J = U P, with U the upper triangular
+    matrix of ones and P the reversal, so J^-1 = P (I - S) for the
+    superdiagonal shift S: (J^-1 x)_i = x_(m-1-i) - x_(m-i), with x_m = 0.
+    Take x_j = cos((j + 1/2) theta) with theta = (2k-1) pi / (2m+1), so that
+    x_m = cos((2k-1) pi/2) = 0.  Writing phi = (m + 1/2) theta, where
+    cos(phi) = 0 and sin(phi) = (-1)^(k+1),
+
+        (J^-1 x)_i = cos(phi - (i+1) theta) - cos(phi - i theta)
+                   = (-1)^(k+1) (sin((i+1) theta) - sin(i theta))
+                   = (-1)^(k+1) 2 sin(theta/2) x_i,
+
+    so J has the m distinct eigenvalues (-1)^(k+1) / (2 sin(theta/2)).  As
+    theta/2 < pi/2, |lambda_k| strictly decreases in k: no sort is needed.
     """
     if not 1 <= top <= matrix.N:
         raise ValueError("top must be between 1 and N")
-    eigenvalues = np.linalg.eigvalsh(matrix.entries)
-    order = np.argsort(-np.abs(eigenvalues), kind="stable")
-    return [float(eigenvalues[i]) for i in order[:top]]
+    N = matrix.N
+    k = np.arange(1, min(top, N - 1) + 1)
+    signs = np.where(k % 2 == 1, 1.0, -1.0)
+    half_angles = (2 * k - 1) * (math.pi / (2 * (2 * N - 1)))
+    eigenvalues = (HALF_PI / N) * signs / (2.0 * np.sin(half_angles))
+    return eigenvalues.tolist() + [0.0] * (top - len(k))
 
 
 def exact_eigenvalue(rank: int) -> float:
@@ -180,7 +210,11 @@ def trace_power_nystrom(N: int, n: int) -> float:
     b = n - a
     ma = np.linalg.matrix_power(m, a)
     mb = ma if b == a else np.linalg.matrix_power(m, b)
-    return float(np.sum(ma * mb))
+    del m
+    # The product goes into mb: an elementwise square may read and write one
+    # array, and otherwise mb is a fresh power nothing else holds.
+    np.multiply(mb, ma, out=mb)
+    return float(np.sum(mb))
 
 
 def eigenfunction_residual(k: int, N: int) -> float:
@@ -196,6 +230,15 @@ def eigenfunction_residual(k: int, N: int) -> float:
     m = 4 * k + 1
     v = grid_midpoints(N)
     widths = (HALF_PI - v) / N
-    nodes = widths[:, None] * (np.arange(N)[None, :] + 0.5)
-    quadrature = np.sum(np.cos(m * nodes), axis=1) * widths
+    offsets = np.arange(N) + 0.5
+    quadrature = np.empty(N)
+    # Row blocks bound the temporary to RESIDUAL_ROWS x N; each row is still
+    # summed whole, so the values match a single N x N evaluation bit for bit.
+    for start in range(0, N, RESIDUAL_ROWS):
+        rows = slice(start, start + RESIDUAL_ROWS)
+        block = widths[rows, None] * offsets[None, :]
+        block *= m
+        np.cos(block, out=block)
+        quadrature[rows] = np.sum(block, axis=1)
+    quadrature *= widths
     return float(np.max(np.abs(quadrature - np.cos(m * v) / m)))

@@ -73,7 +73,7 @@ GOLDEN_INVOCATIONS = [
     (("volume", "cyclic", "2", "cube-integral", "--samples", "20000", "--seed", "1"),
      0, "Vol ≈ 1.23103228246 ± 0.00589085352094 (samples=20000, seed=1)\n", ""),
     (("volume", "cyclic", "2", "cube-integral", "--samples", "20000", "--seed", "1", "--scale", "unit", "--json"),
-     0, '{"mean": 0.49891859184136306, "std_error": 0.0023874730056192535, "samples": 20000, "seed": 1}\n', ""),
+     0, '{"mean": 0.49891859184136306, "std_error": 0.002387473005619253, "samples": 20000, "seed": 1}\n', ""),
     (("ratio-limit", "4", "--digits", "6"),
      0, "ratio of cyclic to plain alternating counts; the limit is pi/4\n  m  A0(2m)/A(2m)  ratio     |ratio - pi/4|  decay\n  1  1             1         0.215           -\n  2  4/5           0.8       0.0146          0.068\n  3  48/61         0.786885  0.00149         0.102\n  4  1088/1385     0.78556   0.000161        0.109\n  pi/4 ≈ 0.785398 (decay column reported, not asserted)\n", ""),
     (("ratio-limit", "4", "--quiet"),

@@ -249,6 +249,13 @@ class TestInverseMap:
             inverse_map((0.5, -0.1))
 
 
+def _cube_integrand_chunk(n, seed, index, size):
+    """The cube integrand at the points of Monte Carlo chunk ``index``, drawn whole."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+    t = rng.random((size, n)).prod(axis=1)
+    return 1.0 / (1.0 + (-1.0 if n % 2 == 0 else 1.0) * t * t)
+
+
 class TestMonteCarlo:
     def test_volume_estimate_quality(self):
         spec = PolytopeSpec("cyclic", 2, "half_pi")
@@ -275,20 +282,44 @@ class TestMonteCarlo:
         assert estimate.mean == pytest.approx(hits / samples, abs=0)
 
     def test_cube_integral_chunk_protocol(self):
-        # a serial fold over whole-chunk draws, chunk by chunk in index order
+        # a serial fold over whole-chunk draws, chunk by chunk in index order:
+        # sums added in turn, squared deviations combined by Chan's update
         n, seed = 3, 5
         sizes = (CHUNK_SAMPLES, CHUNK_SAMPLES, CHUNK_SAMPLES, 4321)
         samples = sum(sizes)
-        total = total_sq = 0.0
+        count, total, deviations = 0, 0.0, 0.0
         for index, size in enumerate(sizes):
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-            t = rng.random((size, n)).prod(axis=1)
-            f = 1.0 / (1.0 + t * t)
-            total += float(f.sum())
-            total_sq += float((f * f).sum())
+            f = _cube_integrand_chunk(n, seed, index, size)
+            chunk_sum = float(f.sum())
+            chunk_deviations = float(((f - chunk_sum / size) ** 2).sum())
+            if count:
+                delta = chunk_sum / size - total / count
+                deviations += delta * delta * (count * size / (count + size))
+            deviations += chunk_deviations
+            total += chunk_sum
+            count += size
         mean = total / samples
-        std_error = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+        std_error = math.sqrt(deviations / samples / samples)
         assert mc_cube_integral(n, samples, seed) == McEstimate(mean, std_error, samples, seed)
+
+    def test_cube_integral_matches_two_pass_reference(self):
+        n, seed = 2, 8
+        sizes = (CHUNK_SAMPLES, CHUNK_SAMPLES, 777)
+        samples = sum(sizes)
+        values = np.concatenate(
+            [_cube_integrand_chunk(n, seed, index, size) for index, size in enumerate(sizes)]
+        ).tolist()
+        mean = math.fsum(values) / samples
+        variance = math.fsum((f - mean) ** 2 for f in values) / samples
+        estimate = mc_cube_integral(n, samples, seed)
+        assert estimate.mean == pytest.approx(mean, rel=1e-14)
+        assert estimate.std_error == pytest.approx(math.sqrt(variance / samples), rel=1e-12)
+
+    def test_cube_integral_spread_below_resolution_has_nonzero_std_error(self):
+        # at n = 32 most points give the integrand exactly 1.0; about 0.5% of
+        # them exceed it by a few ulps, which a one-pass variance loses
+        estimate = mc_cube_integral(32, 10**4, seed=0)
+        assert estimate.std_error > 0.0
 
     def test_estimates_independent_of_worker_count(self, monkeypatch):
         # more chunks than one submission window even at 4 workers

@@ -1,4 +1,4 @@
-"""Property tests for the exact kernels; skipped when hypothesis is not installed."""
+"""Property tests for the exact kernels and the cube map; skipped when hypothesis is not installed."""
 
 import math
 from fractions import Fraction
@@ -11,6 +11,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from zigzagsums import special_numbers  # noqa: E402
 from zigzagsums.exact_arith import HALF_PI  # noqa: E402
+from zigzagsums.polytope_lab import (  # noqa: E402
+    forward_map,
+    inverse_map,
+    jacobian_fd,
+    jacobian_formula,
+)
 from zigzagsums.special_numbers import (  # noqa: E402
     SequenceCache,
     bernoulli,
@@ -24,6 +30,12 @@ from zigzagsums.spectral_operator import (  # noqa: E402
 )
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+# Image points of the cube map: n = 2..8, coordinates in [0.05, 0.95], away
+# from the all-ones corner where inverse_map raises by design.
+IMAGE_POINTS = st.integers(min_value=2, max_value=8).flatmap(
+    lambda n: st.tuples(*[st.floats(min_value=0.05, max_value=0.95)] * n)
+)
 
 
 @PROPERTY_SETTINGS
@@ -73,3 +85,16 @@ def test_iterate_is_homogeneous_and_vanishes_at_half_pi(n):
 def test_inner_product_is_the_zigzag_monomial(n):
     expected = Fraction(zigzag(n), math.factorial(n) * 2**n)
     assert inner_product_one(n).terms == ((n, expected),)
+
+
+@PROPERTY_SETTINGS
+@given(IMAGE_POINTS)
+def test_inverse_map_round_trips_through_forward_map(x):
+    back = forward_map(inverse_map(x))
+    assert max(abs(a - b) for a, b in zip(back, x)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(IMAGE_POINTS)
+def test_jacobian_formula_matches_finite_differences(x):
+    assert abs(jacobian_fd(inverse_map(x)) - jacobian_formula(x)) <= 1e-6

@@ -21,6 +21,30 @@ from zigzagsums.spectral_operator import (
 )
 
 
+def _lapack_spectrum(N):
+    """Oracle: all eigenvalues of the Nystrom matrix from LAPACK, ascending."""
+    return np.linalg.eigvalsh(nystrom_matrix(N).entries)
+
+
+def _trace_oracle(N, n):
+    """Oracle: the trace as the sum of a freshly allocated elementwise product."""
+    m = nystrom_matrix(N).entries
+    a = n // 2
+    ma = np.linalg.matrix_power(m, a)
+    mb = ma if n - a == a else np.linalg.matrix_power(m, n - a)
+    return float(np.sum(ma * mb))
+
+
+def _residual_oracle(k, N):
+    """Oracle: the residual from one N x N cosine quadrature."""
+    m = 4 * k + 1
+    v = grid_midpoints(N)
+    widths = (math.pi / 2 - v) / N
+    nodes = widths[:, None] * (np.arange(N)[None, :] + 0.5)
+    quadrature = np.sum(np.cos(m * nodes), axis=1) * widths
+    return float(np.max(np.abs(quadrature - np.cos(m * v) / m)))
+
+
 def _vpipoly_iterate(n):
     """Oracle: T^n 1 by n symbolic applications of the operator to VPiPoly values."""
     result = VPiPoly.one()
@@ -188,6 +212,37 @@ class TestEigenvalues:
     def test_top_bound(self):
         with pytest.raises(ValueError):
             sym_eigenvalues(nystrom_matrix(8), 9)
+        with pytest.raises(ValueError):
+            sym_eigenvalues(nystrom_matrix(8), 0)
+
+    @pytest.mark.parametrize("N", [*range(2, 65), 301, 1000])
+    def test_closed_form_matches_lapack(self, N):
+        closed = sym_eigenvalues(nystrom_matrix(N), N)
+        oracle = _lapack_spectrum(N)
+        assert len(closed) == N and closed[-1] == 0.0
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(np.sort(closed) - oracle)) <= 1e-13 * scale
+
+    def test_two_cells(self):
+        # the matrix is diag(pi/4, 0)
+        top = sym_eigenvalues(nystrom_matrix(2), 2)
+        assert top == [pytest.approx(math.pi / 4, rel=1e-15), 0.0]
+
+    def test_three_cells_golden_ratio(self):
+        # the leading block is (pi/6) [[1, 1], [1, 0]]
+        golden = (1 + math.sqrt(5)) / 2
+        assert sym_eigenvalues(nystrom_matrix(3), 3) == [
+            pytest.approx(golden * math.pi / 6, rel=1e-15),
+            pytest.approx(-math.pi / 6 / golden, rel=1e-15),
+            0.0,
+        ]
+
+    def test_leading_values_are_a_prefix_descending_in_magnitude(self):
+        full = sym_eigenvalues(nystrom_matrix(500), 500)
+        assert sym_eigenvalues(nystrom_matrix(500), 7) == full[:7]
+        magnitudes = [abs(v) for v in full]
+        assert all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
+        assert [v > 0 for v in full[:6]] == [True, False] * 3
 
 
 class TestTraces:
@@ -221,6 +276,11 @@ class TestTraces:
         with pytest.raises(ValueError):
             trace_power_nystrom(100, 1)
 
+    @pytest.mark.parametrize("N", [2, 3, 7, 100, 1000])
+    def test_bit_identical_to_fresh_product(self, N):
+        for n in range(2, 7):
+            assert trace_power_nystrom(N, n) == _trace_oracle(N, n)
+
 
 class TestEigenfunctionResidual:
     def test_fundamental_mode(self):
@@ -240,3 +300,8 @@ class TestEigenfunctionResidual:
     def test_minimum_grid(self):
         with pytest.raises(ValueError):
             eigenfunction_residual(0, 50)
+
+    @pytest.mark.parametrize("N", [100, 257, 1000])
+    @pytest.mark.parametrize("k", [0, -1, 1])
+    def test_bit_identical_to_unblocked_quadrature(self, k, N):
+        assert eigenfunction_residual(k, N) == _residual_oracle(k, N)

@@ -7,26 +7,34 @@ significant digits.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.
 
 Each handler ``cmd_x(args, opts)`` prints nothing and returns ``(payload,
-text)``, both built from values it computes once; it refuses bad input by
-raising ValueError.  ``main`` resolves the options once, prints
-``json.dumps(payload)`` under --json and the text otherwise, and reports
-ValueError, OSError, RuntimeError, OverflowError and MemoryError as
-``error: ...`` on stderr with exit code 2.  The payload of verify is its
-VerificationReport, printed by its own to_json; a failed check exits 1.
+text)``, both built from values it computes once.  ``main`` resolves the
+options once, prints ``json.dumps(payload)`` under --json and the text
+otherwise, and reports ValueError, OSError, RuntimeError, OverflowError and
+MemoryError as ``error: ...`` on stderr with exit code 2.  The payload of
+verify is its VerificationReport, printed by its own to_json; a failed check
+exits 1.
+
+The rules on what a value may be (n >= 1 for sums, even n for cyclic
+counts, |z| < 1 for g-eval, 1 <= top <= grid for spectrum, ...) belong to
+the library functions the handlers call, which raise ValueError before any
+work.  A handler checks only the caps below and the rules no library
+function has: zigzag n >= 1, ratio-limit m_max >= 1, and the cyclic kind for
+volume ... spectral|cube-integral.
 
 Defaults (grid 2000, samples 10^6, seed 0, digits 12) may be overridden by a
 flat key=value config file named by the ZIGZAGSUMS_CONFIG environment
 variable, and by command-line flags, in that order of precedence; unknown
-config keys are ignored with a warning on stderr, and an unreadable file or a
-non-integer value exits 2.  The grid-using commands (volume ... spectral,
-spectrum, verify) refuse a resolved grid above GRID_LIMIT, and the sampling
-commands (volume ... montecarlo, volume ... cube-integral, verify) resolved
-samples above SAMPLES_LIMIT.  sums, zigzag, bernoulli, euler and ratio-limit
-refuse n (m_max) above SUMS_LIMIT, ZIGZAG_LIMIT, BERNOULLI_LIMIT, EULER_LIMIT
-and RATIO_LIMIT, volume ... exact above VOLUME_LIMIT, volume ... extensions
-above EXTENSION_LIMIT, volume ... montecarlo|cube-integral above
-MC_DIMENSION_LIMIT, and g-eval refuses --terms above TERMS_LIMIT.  Each
-refusal exits 2 before any computation.
+config keys are ignored with a warning on stderr, and an unreadable file, a
+non-integer value or a resolved digits below 0 exits 2.  The grid-using
+commands (volume ... spectral, spectrum, verify) refuse a resolved grid above
+GRID_LIMIT, and the sampling commands (volume ... montecarlo, volume ...
+cube-integral, verify) resolved samples above SAMPLES_LIMIT.  sums, zigzag,
+bernoulli, euler and ratio-limit refuse n (m_max) above SUMS_LIMIT,
+ZIGZAG_LIMIT, BERNOULLI_LIMIT, EULER_LIMIT and RATIO_LIMIT, volume ... exact
+above VOLUME_LIMIT, volume ... extensions above EXTENSION_LIMIT, volume ...
+montecarlo|spectral|cube-integral above MC_DIMENSION_LIMIT, and g-eval
+refuses --terms above TERMS_LIMIT.  Each cap refusal exits 2 before any
+computation.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__, report
@@ -92,11 +101,14 @@ VOLUME_LIMIT = 1423
 # 2 CPUs; the cost grows about cubically (3000 terms: 12 s).
 TERMS_LIMIT = 1424
 
-# Largest Monte Carlo dimension: each pool worker draws blocks of
-# BLOCK_ROWS x n float64, 131 kB per dimension, so 4.2 MB at n = 32, four
-# times the block at the n = 8 the verify suite uses.  Run time grows with n
-# too: 10^6 volume samples take about 0.1 s at n = 8 and 0.5 s at n = 32 on
-# 2 CPUs.
+# Largest dimension of the Monte Carlo and spectral trace routes.  Each
+# Monte Carlo pool worker draws blocks of BLOCK_ROWS x n float64, 131 kB per
+# dimension, so 4.2 MB at n = 32, four times the block at the n = 8 the
+# verify suite uses; 10^6 volume samples take about 0.1 s at n = 8 and 0.5 s
+# at n = 32 on 2 CPUs.  The spectral trace takes about 2 log2(n) products
+# of dense grid x grid matrices, so its cost grows without bound in n; at
+# GRID_LIMIT the slowest n up to the cap is n = 29 (11 products), 16.5 s and
+# 683 MB peak on 2 CPUs, against 6.0 s and 427 MB at n = 32 (4 products).
 MC_DIMENSION_LIMIT = 32
 
 VOLUME_METHODS = ("exact", "extensions", "montecarlo", "spectral", "cube-integral")
@@ -136,6 +148,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             merged[key] = value
+    _require(merged["digits"] >= 0, f"digits must be nonnegative, not {merged['digits']}")
     merged["quiet"] = bool(getattr(args, "quiet", False))
     merged["json"] = bool(getattr(args, "json", False))
     return merged
@@ -188,17 +201,16 @@ def _exact(label: str, value: PiMultiple, digits: int) -> tuple[dict, str]:
 
 def _estimate(estimate: McEstimate, factor: float, digits: int) -> tuple[dict, str]:
     """A Monte Carlo volume estimate scaled by factor, as a JSON dict and a text line."""
-    mean, std_error = estimate.mean * factor, estimate.std_error * factor
+    scaled = replace(estimate, mean=estimate.mean * factor, std_error=estimate.std_error * factor)
     return (
-        {"mean": mean, "std_error": std_error, "samples": estimate.samples, "seed": estimate.seed},
-        f"Vol ≈ {_fmt(mean, digits)} ± {_fmt(std_error, digits)} "
-        f"(samples={estimate.samples}, seed={estimate.seed})",
+        scaled.as_json_dict(),
+        f"Vol ≈ {_fmt(scaled.mean, digits)} ± {_fmt(scaled.std_error, digits)} "
+        f"(samples={scaled.samples}, seed={scaled.seed})",
     )
 
 
 def cmd_sums(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     n = args.n
-    _require(n >= 1, "the sum diverges for n < 1; need n >= 1")
     _check_n(n, SUMS_LIMIT)
     s_json, s_text = _exact(f"S({n})", s_value(n), opts["digits"])
     if n % 2 == 0:
@@ -237,8 +249,6 @@ def cmd_volume(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     kind, n, method = args.kind, args.n, args.method
     scale = args.scale or ("half_pi" if kind == "cyclic" else "unit")
     digits = opts["digits"]
-    _require(n >= 1, "dimension must be positive")
-    _require(kind != "cyclic" or n >= 2, "the cyclic polytope requires n >= 2")
     spec = PolytopeSpec(kind, n, scale)
 
     if method == "exact":
@@ -253,29 +263,30 @@ def cmd_volume(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
 
     if method == "extensions":
         _require(n <= EXTENSION_LIMIT, f"extension counting supports n <= {EXTENSION_LIMIT}")
-        _require(kind != "cyclic" or n % 2 == 0, "the cyclic zigzag order requires even n")
         unit_volume = order_polytope_volume(cyclic_poset(n) if kind == "cyclic" else chain_poset(n))
         if scale == "half_pi":
             return _exact("Vol", PiMultiple(unit_volume / 2**n, n), digits)
         return _exact("Vol", PiMultiple(unit_volume, 0), digits)
 
-    if method in ("montecarlo", "cube-integral"):
-        _require(n <= MC_DIMENSION_LIMIT, f"Monte Carlo supports n <= {MC_DIMENSION_LIMIT}")
+    route = "the spectral trace route" if method == "spectral" else "Monte Carlo"
+    _require(n <= MC_DIMENSION_LIMIT, f"{route} supports n <= {MC_DIMENSION_LIMIT}")
 
     if method == "montecarlo":
         samples = _bounded(opts, "samples", SAMPLES_LIMIT)
         return _estimate(mc_volume(spec, samples, opts["seed"]), 1.0, digits)
 
+    # The spectral trace and the cube integral compute the cyclic volume only.
+    if method == "cube-integral":
+        route = "the cube integral route"
+    _require(kind == "cyclic", f"{route} applies to the cyclic polytope only")
+    factor = (2 / math.pi) ** n if scale == "unit" else 1.0
     if method == "spectral":
-        _require(kind == "cyclic", "the spectral trace route applies to the cyclic polytope only")
         grid = _bounded(opts, "grid", GRID_LIMIT)
-        value = trace_power_nystrom(grid, n) * ((2 / math.pi) ** n if scale == "unit" else 1.0)
+        value = trace_power_nystrom(grid, n) * factor
         text = f"Vol ≈ {_fmt(value, digits)} (matrix trace at grid N={grid})"
         return {"trace": value, "grid": grid}, text
 
-    _require(kind == "cyclic", "the cube integral equals the cyclic volume; use kind=cyclic")
     samples = _bounded(opts, "samples", SAMPLES_LIMIT)
-    factor = (2 / math.pi) ** n if scale == "unit" else 1.0
     return _estimate(mc_cube_integral(n, samples, opts["seed"]), factor, digits)
 
 
@@ -316,27 +327,23 @@ def cmd_zigzag(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     n = args.n
     _require(n >= 1, "n must be positive")
     _check_n(n, ZIGZAG_LIMIT)
-    _require(not args.cyclic or n % 2 == 0, "cyclic counts require even n")
     value = cyclic_zigzag(n) if args.cyclic else zigzag(n)
     return {"n": n, "cyclic": bool(args.cyclic), "count": value}, str(value)
 
 
 def cmd_bernoulli(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
-    _require(args.n >= 0, "n must be nonnegative")
     _check_n(args.n, BERNOULLI_LIMIT)
     value = str(bernoulli(args.n))
     return {"n": args.n, "value": value}, value
 
 
 def cmd_euler(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
-    _require(args.n >= 0 and args.n % 2 == 0, "Euler numbers are reported for even n >= 0")
     _check_n(args.n, EULER_LIMIT)
     value = euler_number(args.n)
     return {"n": args.n, "value": value}, str(value)
 
 
 def cmd_g_eval(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
-    _require(-1.0 < args.z < 1.0, "need |z| < 1; the generating function has a pole at z = 1")
     _require(args.terms <= TERMS_LIMIT, f"terms {args.terms} exceeds the limit of {TERMS_LIMIT}")
     closed, series = g_eval(args.z, args.terms)
     diff, digits = abs(closed - series), opts["digits"]
@@ -354,8 +361,6 @@ def cmd_g_eval(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
 def cmd_spectrum(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     top = args.top
     grid = _bounded(opts, "grid", GRID_LIMIT)
-    _require(top >= 1, "top must be at least 1")
-    _require(top <= grid, "top cannot exceed the grid size")
     digits = opts["digits"]
     eigenvalues = []
     rows = [["k", "approx", "exact 1/(4k+1)", "abs error"]]

@@ -107,7 +107,7 @@ def s_coeff(n: int) -> Fraction:
     s_coeff(1) = 1/4, the alternating odd-reciprocal sum.
     """
     if n < 1:
-        raise ValueError("S(n) diverges for n < 1")
+        raise ValueError("the sum diverges for n < 1; need n >= 1")
     return Fraction(zigzag(n - 1), 2 ** (n + 1) * math.factorial(n - 1))
 
 

@@ -156,8 +156,8 @@ class PolytopeSpec:
     """Which polytope: cyclic (wrap-around constraint) or chain, unit or pi/2 box.
 
     cyclic/half_pi is the region u_i > 0, u_i + u_{i+1} < pi/2 with cyclic
-    indexing; cyclic/unit is its rescaling by 2/pi; the chain variants drop
-    the wrap-around constraint u_n + u_1.
+    indexing, for n >= 2; cyclic/unit is its rescaling by 2/pi; the chain
+    variants drop the wrap-around constraint u_n + u_1 and take n >= 1.
     """
 
     kind: str
@@ -171,6 +171,8 @@ class PolytopeSpec:
             raise ValueError("scale must be 'unit' or 'half_pi'")
         if self.n < 1:
             raise ValueError("dimension must be positive")
+        if self.kind == "cyclic" and self.n < 2:
+            raise ValueError("the cyclic polytope requires n >= 2")
 
     @property
     def bound(self) -> float:
@@ -199,8 +201,6 @@ def volume_formula(spec: PolytopeSpec) -> PiMultiple:
     """
     n = spec.n
     if spec.kind == "cyclic":
-        if n < 2:
-            raise ValueError("the cyclic volume formula requires n >= 2")
         if spec.scale == "half_pi":
             return PiMultiple(s_coeff(n), n)
         return PiMultiple(s_coeff(n) * 2**n, 0)
@@ -280,6 +280,14 @@ def _chunk_results(work: Callable[[int], object], samples: int) -> Iterator:
             raise
 
 
+def _check_run(samples: int, seed: int) -> None:
+    """Refuse a Monte Carlo run before any chunk is drawn."""
+    if samples < 10**4:
+        raise ValueError("use at least 10^4 samples")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
+
+
 def _chunk_hits(spec: PolytopeSpec, seed: int, samples: int, index: int) -> int:
     """Points of chunk ``index``, scaled to the bounding box, that lie inside ``spec``."""
     hits = 0
@@ -298,8 +306,7 @@ def mc_volume(spec: PolytopeSpec, samples: int, seed: int) -> McEstimate:
     taken at the Agresti-Coull fraction (hits + 2) / (samples + 4), so an
     estimate never claims zero uncertainty.
     """
-    if samples < 10**4:
-        raise ValueError("use at least 10^4 samples")
+    _check_run(samples, seed)
     hits = sum(_chunk_results(partial(_chunk_hits, spec, seed, samples), samples))
     p_hat = hits / samples
     box = spec.bound**spec.n
@@ -336,8 +343,7 @@ def mc_cube_integral(n: int, samples: int, seed: int) -> McEstimate:
     """
     if n < 2:
         raise ValueError("the cube integral route requires n >= 2")
-    if samples < 10**4:
-        raise ValueError("use at least 10^4 samples")
+    _check_run(samples, seed)
     count = 0
     total = 0.0
     deviations = 0.0

@@ -43,6 +43,7 @@ from .polytope_lab import (
     volume_formula,
 )
 from .special_numbers import (
+    ENUMERATION_LIMIT,
     bernoulli,
     cyclic_zigzag,
     cyclic_zigzag_bruteforce,
@@ -194,7 +195,7 @@ ZIGZAG_TABLE = {1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 61, 7: 272, 8: 1385, 9: 7936, 
 CYCLIC_ZIGZAG_TABLE = {2: 1, 4: 4, 6: 48, 8: 1088, 10: 39680}
 
 
-def _exact_checks(rec: _Recorder, enumeration_limit: int = 10) -> None:
+def _exact_checks(rec: _Recorder) -> None:
     for n, expected in S_COEFF_TABLE.items():
         rec.exact(f"exact.s_coeff.{n}", f"coefficient of pi^{n} in S({n})", expected, s_coeff(n))
     for n, expected in ZETA_COEFF_TABLE.items():
@@ -211,10 +212,10 @@ def _exact_checks(rec: _Recorder, enumeration_limit: int = 10) -> None:
         rec.exact(f"exact.zigzag.{n}", f"alternating permutation count A({n})", expected, zigzag(n))
     for n, expected in CYCLIC_ZIGZAG_TABLE.items():
         rec.exact(f"exact.cyclic_zigzag.{n}", f"cyclic count A0({n})", expected, cyclic_zigzag(n))
-    for n in range(1, enumeration_limit + 1):
+    for n in range(1, ENUMERATION_LIMIT + 1):
         rec.exact(f"exact.zigzag_bruteforce.{n}", f"A({n}) by enumeration of all {n}! permutations",
                   zigzag(n), zigzag_bruteforce(n))
-    for n in range(2, enumeration_limit + 1, 2):
+    for n in range(2, ENUMERATION_LIMIT + 1, 2):
         rec.exact(f"exact.cyclic_bruteforce.{n}", f"A0({n}) by enumeration",
                   cyclic_zigzag(n), cyclic_zigzag_bruteforce(n))
     rec.exact("exact.route.bernoulli", "Bernoulli route equals zigzag route for even n <= 60",
@@ -310,7 +311,8 @@ def _montecarlo_checks(rec: _Recorder, seed: int, samples: int) -> bool:
 
 
 def _spectral_checks(rec: _Recorder, grid: int) -> None:
-    # The matrix is dropped once solved; each trace assembles its own.
+    # The closed-form spectrum reads only the grid size, so no dense matrix
+    # is assembled for it; each trace assembles its own.
     spectrum = sym_eigenvalues(nystrom_matrix(grid), grid)
     top5 = spectrum[:5]
     for rank, approx in enumerate(top5):

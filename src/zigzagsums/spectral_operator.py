@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,34 +41,54 @@ T_POWER_LIMIT = 40
 RESIDUAL_ROWS = 256
 
 
-def grid_midpoints(N: int) -> np.ndarray:
-    """Midpoints u_j = (j + 1/2) (pi/2) / N of an N-cell grid on (0, pi/2)."""
+def _check_grid(N: int) -> None:
     if N < 2:
         raise ValueError("grid size must be at least 2")
+
+
+def grid_midpoints(N: int) -> np.ndarray:
+    """Midpoints u_j = (j + 1/2) (pi/2) / N of an N-cell grid on (0, pi/2)."""
+    _check_grid(N)
     return (np.arange(N) + 0.5) * (HALF_PI / N)
 
 
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Midpoint Nystrom matrix: entries (pi/2)/N on cells inside the open triangle, else 0."""
-
-    N: int
-    entries: np.ndarray
-
-
-def nystrom_matrix(N: int) -> KernelMatrix:
-    """Assemble the N x N midpoint discretization of the triangle kernel.
+def _kernel_entries(N: int) -> np.ndarray:
+    """The dense N x N entries: (pi/2)/N where i + j + 1 < N, else 0.
 
     Cell (i, j) lies inside the open triangle iff u_i + u_j < pi/2, that is
     iff i + j + 1 < N.  The test is made on the integers: the float midpoint
     sums of boundary cells (i + j + 1 = N) can round below pi/2.
     """
-    if N < 2:
-        raise ValueError("grid size must be at least 2")
     w = HALF_PI / N
     index = np.arange(N)
-    entries = np.where(np.less.outer(index, N - 1 - index), w, 0.0)
-    return KernelMatrix(N, entries)
+    return np.where(np.less.outer(index, N - 1 - index), w, 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class KernelMatrix:
+    """Midpoint Nystrom matrix: entries (pi/2)/N on cells inside the open triangle, else 0.
+
+    Only the grid size N is stored.  The dense ``entries`` (8 N^2 bytes) are
+    assembled on first access and kept; the closed-form spectrum reads N alone.
+    """
+
+    N: int
+
+    def __post_init__(self) -> None:
+        _check_grid(self.N)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return _kernel_entries(self.N)
+
+
+def nystrom_matrix(N: int) -> KernelMatrix:
+    """The N x N midpoint discretization of the triangle kernel; requires N >= 2.
+
+    Constant time: the dense entries are assembled on first access to
+    ``entries``.
+    """
+    return KernelMatrix(N)
 
 
 def _q_iterate(n: int) -> tuple[list[int], int]:
@@ -177,8 +198,10 @@ def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:
     so J has the m distinct eigenvalues (-1)^(k+1) / (2 sin(theta/2)).  As
     theta/2 < pi/2, |lambda_k| strictly decreases in k: no sort is needed.
     """
-    if not 1 <= top <= matrix.N:
-        raise ValueError("top must be between 1 and N")
+    if top < 1:
+        raise ValueError("top must be at least 1")
+    if top > matrix.N:
+        raise ValueError("top cannot exceed the grid size")
     N = matrix.N
     k = np.arange(1, min(top, N - 1) + 1)
     signs = np.where(k % 2 == 1, 1.0, -1.0)
@@ -199,13 +222,14 @@ def trace_power_nystrom(N: int, n: int) -> float:
     """Trace of the n-th power of the Nystrom matrix; approximates S(n).
 
     Requires n >= 2 (the operator itself is not trace class).  Computed by
-    matrix powers, independently of any eigenvalue solve: with a + b = n,
-    trace(M^n) = sum of the elementwise product of M^a and M^b, both
-    symmetric.
+    matrix powers of dense entries assembled for this call, independently
+    of any eigenvalue solve: with a + b = n, trace(M^n) = sum of the
+    elementwise product of M^a and M^b, both symmetric.
     """
     if n < 2:
         raise ValueError("the trace route requires n >= 2")
-    m = nystrom_matrix(N).entries
+    _check_grid(N)
+    m = _kernel_entries(N)
     a = n // 2
     b = n - a
     ma = np.linalg.matrix_power(m, a)

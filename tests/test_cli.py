@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zigzagsums import cli, polytope_lab, report
+from zigzagsums import cli, polytope_lab, report, special_numbers, spectral_operator
 from zigzagsums.polytope_lab import PolytopeSpec, volume_formula
 from zigzagsums.special_numbers import cyclic_zigzag, euler_number, zigzag
 from zigzagsums.report import CheckResult, VerificationReport
@@ -115,6 +115,42 @@ def run(capsys, *argv):
 def test_golden_invocation(capsys, monkeypatch, argv, code, out, err):
     monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
     assert run(capsys, *argv) == (code, out, err)
+
+
+# Domain rules the library functions own; the CLI passes their ValueError on.
+LIBRARY_RULES = [
+    (("sums", "0"), "the sum diverges for n < 1; need n >= 1"),
+    (("volume", "chain", "0", "montecarlo"), "dimension must be positive"),
+    (("volume", "cyclic", "1", "spectral"), "the cyclic polytope requires n >= 2"),
+    (("volume", "cyclic", "3", "extensions"), "the cyclic zigzag order requires even n >= 2"),
+    (("zigzag", "5", "--cyclic"), "cyclically alternating permutations require even n >= 2"),
+    (("bernoulli", "-1"), "Bernoulli numbers are indexed by n >= 0"),
+    (("euler", "7"), "only even-order Euler numbers are supported"),
+    (("euler", "-2"), "Euler numbers are indexed by n >= 0"),
+    (("g-eval", "1.0"), "the series has radius 1 (pole at z = 1); need |z| < 1"),
+    (("spectrum", "--grid", "50", "--top", "0"), "top must be at least 1"),
+    (("spectrum", "--grid", "50", "--top", "51"), "top cannot exceed the grid size"),
+]
+
+
+class _Refused:
+    """Stands in for the sequence cache: any use of it means work started."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"computation started ({name})")
+
+
+@pytest.mark.parametrize("argv,message", LIBRARY_RULES, ids=[" ".join(a) for a, _ in LIBRARY_RULES])
+def test_library_rule_exits_2_before_computing(capsys, monkeypatch, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(special_numbers, "_CACHE", _Refused())
+    monkeypatch.setattr(spectral_operator.KernelMatrix, "entries", property(refuse))
+    for name in ("volume_formula", "order_polytope_volume", "mc_volume", "mc_cube_integral",
+                 "trace_power_nystrom", "exact_eigenvalue"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestSums:
@@ -540,6 +576,53 @@ class TestSamplesLimit:
         assert out.startswith("Vol = 1/8 · pi^2")
 
 
+class TestNegativeOptions:
+    def test_negative_digits_exit_2_before_computing(self, capsys, tmp_path, monkeypatch):
+        def refuse(n):
+            raise AssertionError("computation started for refused digits")
+
+        monkeypatch.setattr(cli, "s_value", refuse)
+        assert run(capsys, "sums", "3", "--digits", "-1") == (
+            2, "", "error: digits must be nonnegative, not -1\n"
+        )
+        config = tmp_path / "settings.cfg"
+        config.write_text("digits=-2\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        assert run(capsys, "sums", "3") == (2, "", "error: digits must be nonnegative, not -2\n")
+
+    def test_zero_digits_accepted(self, capsys):
+        assert run(capsys, "sums", "2", "--digits", "0")[0] == 0
+
+    @pytest.mark.parametrize("method", ["montecarlo", "cube-integral"])
+    def test_negative_seed_exits_2_before_sampling(self, capsys, monkeypatch, method):
+        def refuse(*args):
+            raise AssertionError("a chunk was submitted for a refused seed")
+
+        monkeypatch.setattr(polytope_lab, "_chunk_results", refuse)
+        argv = ["volume", "cyclic", "3", method, "--samples", "10000", "--seed", "-1"]
+        assert run(capsys, *argv) == (2, "", "error: seed must be nonnegative, not -1\n")
+
+
+class TestNoDenseMatrixForSpectrum:
+    """spectrum and verify read the closed-form spectrum, never a dense matrix's entries."""
+
+    @pytest.fixture(autouse=True)
+    def no_entries(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a dense Nystrom matrix was assembled")
+
+        monkeypatch.setattr(spectral_operator.KernelMatrix, "entries", property(refuse))
+
+    def test_spectrum_at_grid_limit(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--grid", str(cli.GRID_LIMIT), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["grid"] == cli.GRID_LIMIT
+
+    def test_verify_spectral(self, capsys):
+        code, out, err = run(capsys, "verify", "spectral", "--quiet")
+        assert (code, out, err) == (0, "15 passed, 0 failed\n", "")
+
+
 class TestMonteCarloDimensionLimit:
     @pytest.mark.parametrize("method", ["montecarlo", "cube-integral"])
     def test_dimension_at_cap(self, capsys, method):
@@ -548,18 +631,31 @@ class TestMonteCarloDimensionLimit:
         assert (code, err) == (0, "")
         assert json.loads(out)["samples"] == 10000
 
-    @pytest.mark.parametrize("kind", ["cyclic", "chain"])
-    @pytest.mark.parametrize("method", ["montecarlo", "cube-integral"])
-    def test_dimension_above_cap_exits_2_before_sampling(self, capsys, monkeypatch, kind, method):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sampling started for a refused dimension")
+    def test_spectral_at_cap(self, capsys):
+        n = str(cli.MC_DIMENSION_LIMIT)
+        code, out, err = run(capsys, "volume", "cyclic", n, "spectral", "--grid", "50", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["grid"] == 50
 
-        for name in ("mc_volume", "mc_cube_integral"):
+    @pytest.mark.parametrize("kind", ["cyclic", "chain"])
+    @pytest.mark.parametrize(
+        "method,route",
+        [("montecarlo", "Monte Carlo"), ("cube-integral", "Monte Carlo"),
+         ("spectral", "the spectral trace route")],
+        ids=["montecarlo", "cube-integral", "spectral"],
+    )
+    def test_dimension_above_cap_exits_2_before_sampling(
+        self, capsys, monkeypatch, kind, method, route
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for a refused dimension")
+
+        for name in ("mc_volume", "mc_cube_integral", "trace_power_nystrom"):
             monkeypatch.setattr(cli, name, refuse)
-        for n in (cli.MC_DIMENSION_LIMIT + 1, 10**6):
+        for n in (cli.MC_DIMENSION_LIMIT + 1, 10**6, 10**50):
             code, out, err = run(capsys, "volume", kind, str(n), method)
             assert (code, out) == (2, "")
-            assert err == f"error: Monte Carlo supports n <= {cli.MC_DIMENSION_LIMIT}\n"
+            assert err == f"error: {route} supports n <= {cli.MC_DIMENSION_LIMIT}\n"
 
 
 def _fits(value):

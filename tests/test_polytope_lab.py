@@ -98,8 +98,11 @@ class TestVolumeFormula:
         assert (value.coeff, value.power) == (Fraction(1, 8), 2)
 
     def test_cyclic_low_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            volume_formula(PolytopeSpec("cyclic", 1, "half_pi"))
+        # the spec itself refuses, so no route sees a 1-dimensional cyclic polytope
+        for scale in ("unit", "half_pi"):
+            with pytest.raises(ValueError, match="the cyclic polytope requires n >= 2"):
+                PolytopeSpec("cyclic", 1, scale)
+        assert PolytopeSpec("chain", 1).n == 1
 
     def test_three_routes_agree_cyclic(self):
         from zigzagsums.special_numbers import cyclic_zigzag
@@ -394,6 +397,16 @@ class TestMonteCarlo:
     def test_cube_bad_dimension(self):
         with pytest.raises(ValueError):
             mc_cube_integral(1, 10**5, seed=0)
+
+    def test_negative_seed_refused_before_any_chunk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chunk was submitted for a refused seed")
+
+        monkeypatch.setattr(polytope_lab, "_chunk_results", refuse)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, not -1$"):
+            mc_volume(PolytopeSpec("cyclic", 2), 10**4, seed=-1)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, not -1$"):
+            mc_cube_integral(2, 10**4, seed=-1)
 
     def test_estimate_serialization(self):
         estimate = McEstimate(1.5, 0.1, 10000, 7)

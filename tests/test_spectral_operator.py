@@ -183,6 +183,16 @@ class TestNystromMatrix:
         with pytest.raises(ValueError):
             nystrom_matrix(1)
 
+    def test_entries_assembled_on_first_access(self):
+        matrix = nystrom_matrix(4096)
+        assert "entries" not in vars(matrix)
+        assert sym_eigenvalues(matrix, 2) == sym_eigenvalues(nystrom_matrix(4096), 2)
+        assert "entries" not in vars(matrix)
+        small = nystrom_matrix(5)
+        entries = small.entries
+        assert small.entries is entries
+        assert np.array_equal(entries, np.where(np.add.outer(range(5), range(5)) < 4, math.pi / 2 / 5, 0.0))
+
     @pytest.mark.parametrize("N", [3, 2500, 3000])
     def test_boundary_cells_excluded(self, N):
         # the float midpoint sums of some cells with i + j + 1 = N round below pi/2

@@ -77,8 +77,9 @@ DEFAULTS = {"digits": 12, "seed": 0, "samples": 10**6, "grid": 2000}
 GRID_LIMIT = 4096
 
 # Largest Monte Carlo sample count accepted.  Run time is linear in the count
-# and grows with the dimension: 0.11 s per 10^6 samples at n = 8 and 0.49 s
-# at n = 32 on 2 CPUs, so an estimate at the cap takes up to about 50 s.
+# and grows with the dimension: a volume estimate takes 0.036 s per 10^6
+# samples at n = 8 and 0.10 s at n = 32 on 2 CPUs, so an estimate at the cap
+# takes about 3 s at n = 8 and up to about 11 s at n = 32.
 SAMPLES_LIMIT = 10**8
 
 # Largest n each exact command answers.  Above it, some exact value the

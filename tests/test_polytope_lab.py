@@ -9,6 +9,7 @@ import pytest
 from zigzagsums import polytope_lab
 from zigzagsums.euler_sums import s_coeff
 from zigzagsums.polytope_lab import (
+    BLOCK_ROWS,
     CHUNK_SAMPLES,
     CHUNK_WINDOW,
     McEstimate,
@@ -252,10 +253,20 @@ class TestInverseMap:
             inverse_map((0.5, -0.1))
 
 
+def _chunk_points(seed, index, size, dim):
+    """The points of Monte Carlo chunk ``index`` as (rows, dim) arrays, block by block.
+
+    Each block of ``BLOCK_ROWS`` points is one coordinate-major draw of
+    (dim, rows) doubles from the chunk's generator.
+    """
+    rng = polytope_lab._chunk_rng(seed, index)
+    for start in range(0, size, BLOCK_ROWS):
+        yield rng.random((dim, min(BLOCK_ROWS, size - start))).T
+
+
 def _cube_integrand_chunk(n, seed, index, size):
-    """The cube integrand at the points of Monte Carlo chunk ``index``, drawn whole."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-    t = rng.random((size, n)).prod(axis=1)
+    """The cube integrand at the points of Monte Carlo chunk ``index``."""
+    t = np.concatenate([points.prod(axis=1) for points in _chunk_points(seed, index, size, n)])
     return 1.0 / (1.0 + (-1.0 if n % 2 == 0 else 1.0) * t * t)
 
 
@@ -277,11 +288,8 @@ class TestMonteCarlo:
         estimate = mc_volume(spec, samples, seed=11)
         hits = 0
         for index, size in enumerate((CHUNK_SAMPLES, 12345)):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence((11, index)))
-            )
-            points = rng.random((size, 2))
-            hits += int(spec.contains(points).sum())
+            for points in _chunk_points(11, index, size, 2):
+                hits += int(spec.contains(points).sum())
         assert estimate.mean == pytest.approx(hits / samples, abs=0)
 
     def test_cube_integral_chunk_protocol(self):
@@ -428,6 +436,47 @@ class TestContainment:
         inside_cyclic = cyclic.contains(points)
         assert inside_cyclic.any()
         assert chain.contains(points)[inside_cyclic].all()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", ["cyclic", "chain"])
+    def test_mask_independent_of_memory_layout(self, kind, n):
+        # the same points stored point-major (a C-ordered (m, n) array) and
+        # coordinate-major (the transposed view of a C-ordered (n, m) array)
+        spec = PolytopeSpec(kind, n, "half_pi")
+        coordinate_major = np.random.default_rng(n).random((n, 4000)) * spec.bound
+        point_major = np.ascontiguousarray(coordinate_major.T)
+        assert point_major.flags.c_contiguous and not coordinate_major.T.flags.c_contiguous
+        mask = spec.contains(point_major)
+        assert 0 < np.count_nonzero(mask) < len(mask)
+        assert np.array_equal(mask, spec.contains(coordinate_major.T))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", ["cyclic", "chain"])
+    def test_boundary_points_are_outside(self, kind, n):
+        spec = PolytopeSpec(kind, n, "half_pi")
+        half = spec.bound / 2  # half + half == bound exactly
+        below = np.nextafter(half, 0.0)  # below + below is the float under bound
+
+        def point(*coords):
+            u = [0.1] * n
+            for i, value in coords:
+                u[i] = value
+            return u
+
+        cases = [
+            (point(), True),
+            (point((0, 0.0)), False),
+            (point((0, np.nextafter(0.0, 1.0))), True),
+            (point((n - 1, 0.0)), False),
+            (point((0, half), (1, half)), False),
+            (point((0, below), (1, below)), True),
+            # the wrap-around pair u_n + u_1 binds only the cyclic polytope
+            (point((0, half), (n - 1, half)), kind == "chain" and n > 2),
+        ]
+        points = np.array([u for u, _ in cases])
+        expected = [inside for _, inside in cases]
+        assert spec.contains(points).tolist() == expected
+        assert spec.contains(points.T.copy().T).tolist() == expected
 
 
 class TestArctangent:

@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from zigzagsums.report import (
     CheckResult,
@@ -77,6 +80,15 @@ class TestMonteCarloSuite:
         report = run_suite("montecarlo", seed=0, samples=50000)
         assert report.all_passed()
         assert report.metadata["montecarlo_retried"] is False
+
+    def test_false_fail_bounds(self):
+        # 7 checks at 4 standard errors, each missed with probability
+        # P(|Z| > 4) = 6.3e-5; the report fails only if the retry fails too
+        metadata = run_suite("numeric").metadata
+        assert metadata["montecarlo_false_fail"] == {"per_pass": 4.4e-4, "report": 2e-7}
+        per_pass = 7 * math.erfc(4 / math.sqrt(2))
+        assert metadata["montecarlo_false_fail"]["per_pass"] == pytest.approx(per_pass, rel=0.01)
+        assert metadata["montecarlo_false_fail"]["report"] == pytest.approx(per_pass**2, rel=0.02)
 
 
 class TestSpectralSuite:

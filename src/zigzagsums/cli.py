@@ -108,8 +108,9 @@ TERMS_LIMIT = 1424
 # verify suite uses; 10^6 volume samples take about 0.1 s at n = 8 and 0.5 s
 # at n = 32 on 2 CPUs.  The spectral trace takes about 2 log2(n) products
 # of dense grid x grid matrices, so its cost grows without bound in n; at
-# GRID_LIMIT the slowest n up to the cap is n = 29 (11 products), 16.5 s and
-# 683 MB peak on 2 CPUs, against 6.0 s and 427 MB at n = 32 (4 products).
+# GRID_LIMIT the slowest n up to the cap is n = 29 (3 blocked squares and 5
+# full products), 11.4 s and 555 MB peak on 2 CPUs, against 4.3 s and
+# 287 MB at n = 32 (4 blocked squares).
 MC_DIMENSION_LIMIT = 32
 
 VOLUME_METHODS = ("exact", "extensions", "montecarlo", "spectral", "cube-integral")

@@ -14,7 +14,9 @@ Two complementary views are implemented:
     powers approximate operator traces.  The spectrum of that matrix has a
     closed form (see ``sym_eigenvalues``), evaluated in O(top) operations;
     the test suite checks it against LAPACK's dense symmetric solver.  The
-    traces come from matrix powers, independently of the closed form.
+    traces come from matrix powers, independently of the closed form; each
+    square in them is computed by row blocks over its upper triangle and
+    mirrored, bit for bit equal to the full product (see ``_square``).
 
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
@@ -40,6 +42,14 @@ T_POWER_LIMIT = 40
 # Grid rows per block of the eigenfunction residual's cosine quadrature.
 RESIDUAL_ROWS = 256
 
+# Rows per block of the blocked square in the trace route; every block edge
+# is a multiple of it or N (see _square).
+SQUARE_ROWS = 256
+
+# The blocked square serves grids whose size is a multiple of this; other
+# grids have ragged BLAS edge tiles and take the full product (see _square).
+SQUARE_ALIGN = 8
+
 
 def _check_grid(N: int) -> None:
     if N < 2:
@@ -57,11 +67,14 @@ def _kernel_entries(N: int) -> np.ndarray:
 
     Cell (i, j) lies inside the open triangle iff u_i + u_j < pi/2, that is
     iff i + j + 1 < N.  The test is made on the integers: the float midpoint
-    sums of boundary cells (i + j + 1 = N) can round below pi/2.
+    sums of boundary cells (i + j + 1 = N) can round below pi/2.  Row i is
+    filled on its first N - 1 - i cells.
     """
     w = HALF_PI / N
-    index = np.arange(N)
-    return np.where(np.less.outer(index, N - 1 - index), w, 0.0)
+    entries = np.zeros((N, N))
+    for i in range(N - 1):
+        entries[i, : N - 1 - i] = w
+    return entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,25 +231,98 @@ def exact_eigenvalue(rank: int) -> float:
     return 1.0 / (4 * k + 1)
 
 
+def _square(x: np.ndarray, triangle: bool = False) -> np.ndarray:
+    """x @ x for a symmetric x, equal to the full product bit for bit, in about half its flops.
+
+    BLAS accumulates each output entry over K in an order set by K and by
+    the kernel that computes the entry's register tile.  Row blocks of
+    SQUARE_ROWS rows, each taken against the columns from its own first row
+    on, start every row and column range at a multiple of SQUARE_ROWS and
+    end it there or at N, so each entry they compute is the entry of x @ x.
+    The transpose of each block fills the lower triangle: (i, j) and (j, i)
+    sum the same products in the same order.
+
+    That holds on grids whose size is a multiple of SQUARE_ALIGN.  On other
+    grids the last N mod 8 columns come from edge kernels whose sums depend
+    on the width and the row split of the call, and the last rows of x @ x
+    differ from its last columns in the last bits (OpenBLAS's SkylakeX
+    kernel at N = 654, 767 and 1007), so those grids take the full product.
+    A last block of a few rows changes bits too, so it takes more than
+    SQUARE_ROWS / 2 and at most 3 SQUARE_ROWS / 2 rows.  The test suite
+    checks the result against x @ x, on random symmetric matrices as well.
+
+    With ``triangle`` only the entries with i + j + 1 < N, where the kernel
+    matrix is nonzero, are computed, each block's columns rounded up to a
+    multiple of SQUARE_ROWS; the rest are left at 0.
+    """
+    N = x.shape[0]
+    if N % SQUARE_ALIGN or N < 2 * SQUARE_ROWS:
+        return x @ x
+    out = np.zeros((N, N)) if triangle else np.empty((N, N))
+    edges = list(range(0, N - SQUARE_ROWS // 2, SQUARE_ROWS)) + [N]
+    for i0, i1 in zip(edges, edges[1:]):
+        stop = N
+        if triangle:  # rows from i0 on are nonzero only in columns below N - 1 - i0
+            stop = min(N, -(-(N - 1 - i0) // SQUARE_ROWS) * SQUARE_ROWS)
+            if stop <= i0:
+                break
+        np.matmul(x[i0:i1], x[:, i0:stop], out=out[i0:i1, i0:stop])
+        out[i1:stop, i0:i1] = out[i0:i1, i1:stop].T
+    return out
+
+
+def _power_pair(m: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """M^a and M^b for 1 <= a <= b <= a + 1, bit for bit as numpy.linalg.matrix_power.
+
+    matrix_power forms M^3 as (M @ M) @ M and any other power by binary
+    squaring: z runs through M, M^2, M^4, ... and the result takes
+    ``result @ z`` at each set bit of the exponent, lowest first.  Both
+    powers here share one chain of squares, each formed by ``_square``, and
+    every array is dropped once nothing further reads it.
+    """
+    powers = dict.fromkeys((a, b))
+    z = m
+    for k in range(b.bit_length()):
+        if k:
+            z = _square(z)
+        for p in powers:
+            if p == 3:
+                if k == 1:
+                    powers[p] = z @ m
+            elif p >> k & 1:
+                powers[p] = z if powers[p] is None else powers[p] @ z
+        if k == 1:
+            del m  # no product after (M @ M) @ M reads M itself
+    return powers[a], powers[b]
+
+
 def trace_power_nystrom(N: int, n: int) -> float:
     """Trace of the n-th power of the Nystrom matrix; approximates S(n).
 
-    Requires n >= 2 (the operator itself is not trace class).  Computed by
+    Requires n >= 2 (the operator itself is not trace class).  Computed from
     matrix powers of dense entries assembled for this call, independently
-    of any eigenvalue solve: with a + b = n, trace(M^n) = sum of the
-    elementwise product of M^a and M^b, both symmetric.
+    of any eigenvalue solve: with a = n // 2 and b = n - a, trace(M^n) is
+    the sum of the elementwise product of M^a and M^b, both symmetric.
+
+    The powers are formed as numpy.linalg.matrix_power forms them, with
+    each square X @ X of a symmetric X computed by ``_square`` from row
+    blocks over its upper triangle, and for n = 3 M^2 computed only where M
+    is nonzero, as the rest is multiplied by 0.  Every entry is accumulated
+    over K in the order of the full product, so the trace is the float that
+    matrix_power gives, bit for bit; the test suite holds this invariant
+    against a matrix_power oracle, at grids whose size does and does not
+    line up with the row blocks.
     """
     if n < 2:
         raise ValueError("the trace route requires n >= 2")
     _check_grid(N)
-    m = _kernel_entries(N)
-    a = n // 2
-    b = n - a
-    ma = np.linalg.matrix_power(m, a)
-    mb = ma if b == a else np.linalg.matrix_power(m, b)
-    del m
+    if n == 3:
+        ma = _kernel_entries(N)
+        mb = _square(ma, triangle=True)
+    else:
+        ma, mb = _power_pair(_kernel_entries(N), n // 2, n - n // 2)
     # The product goes into mb: an elementwise square may read and write one
-    # array, and otherwise mb is a fresh power nothing else holds.
+    # array, and otherwise mb is a power nothing else holds.
     np.multiply(mb, ma, out=mb)
     return float(np.sum(mb))
 

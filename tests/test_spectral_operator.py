@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zigzagsums import spectral_operator
 from zigzagsums.exact_arith import HALF_PI, PiPoly, VPiPoly
 from zigzagsums.special_numbers import zigzag
 from zigzagsums.spectral_operator import (
@@ -193,6 +194,12 @@ class TestNystromMatrix:
         assert small.entries is entries
         assert np.array_equal(entries, np.where(np.add.outer(range(5), range(5)) < 4, math.pi / 2 / 5, 0.0))
 
+    @pytest.mark.parametrize("N", [2, 5, 257, 3000])
+    def test_entries_equal_outer_index_test(self, N):
+        index = np.arange(N)
+        outer = np.where(np.less.outer(index, N - 1 - index), math.pi / 2 / N, 0.0)
+        assert np.array_equal(nystrom_matrix(N).entries, outer)
+
     @pytest.mark.parametrize("N", [3, 2500, 3000])
     def test_boundary_cells_excluded(self, N):
         # the float midpoint sums of some cells with i + j + 1 = N round below pi/2
@@ -286,10 +293,26 @@ class TestTraces:
         with pytest.raises(ValueError):
             trace_power_nystrom(100, 1)
 
-    @pytest.mark.parametrize("N", [2, 3, 7, 100, 1000])
+    @pytest.mark.parametrize("N", [2, 3, 7, 100, 257, 777, 1000, 1032, 2000])
     def test_bit_identical_to_fresh_product(self, N):
-        for n in range(2, 7):
+        # n up to 12 runs the shared square chain; 2000 is verify's grid at
+        # its powers; 257 and 777 take the full square, 1000 and 1032 end in
+        # blocks that line up with neither the row blocks nor the triangle,
+        # and n = 7, 8 square the dense M^2 in blocks
+        powers = {100: range(2, 13), 1032: range(2, 9), 2000: (2, 3, 4)}.get(N, range(2, 7))
+        for n in powers:
             assert trace_power_nystrom(N, n) == _trace_oracle(N, n)
+
+    @pytest.mark.parametrize("N", [512, 520, 777, 1000, 1032, 2000])
+    def test_blocked_square_equals_full_product(self, N):
+        m = nystrom_matrix(N).entries
+        full = m @ m
+        assert np.array_equal(spectral_operator._square(m), full)
+        assert np.array_equal(spectral_operator._square(m, triangle=True) * m, full * m)
+        # a dense symmetric matrix with no structure to hide a changed sum order
+        x = np.random.default_rng(N).random((N, N))
+        x += x.T
+        assert np.array_equal(spectral_operator._square(x), x @ x)
 
 
 class TestEigenfunctionResidual:

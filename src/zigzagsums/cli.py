@@ -62,6 +62,7 @@ from .polytope_lab import (
 )
 from .special_numbers import bernoulli, cyclic_zigzag, euler_number, zigzag
 from .spectral_operator import (
+    _rank_mode,
     exact_eigenvalue,
     nystrom_matrix,
     sym_eigenvalues,
@@ -367,7 +368,7 @@ def cmd_spectrum(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     eigenvalues = []
     rows = [["k", "approx", "exact 1/(4k+1)", "abs error"]]
     for rank, approx in enumerate(sym_eigenvalues(nystrom_matrix(grid), top)):
-        k = (rank + 1) // 2 * (1 if rank % 2 == 0 else -1)
+        k = _rank_mode(rank)
         exact_value = exact_eigenvalue(rank)
         err = abs(approx - exact_value)
         eigenvalues.append({"k": k, "approx": approx, "exact": exact_value, "abs_error": err})

@@ -10,13 +10,12 @@ VPiPoly carries the small calculus needed to apply the integral operator
 f |-> integral of f from 0 to pi/2 - v symbolically: formal antiderivatives,
 the reflection v |-> pi/2 - v, and definite integrals over (0, pi/2).
 
-Floats appear only in ``to_float`` style evaluations; every algebraic
-operation stays in the rational layer.
+Every value and operation stays exact: the module holds no floats and no
+text form; only ``euler_sums.PiMultiple`` turns a pi multiple into either.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -73,12 +72,6 @@ class PiPoly:
         """Largest pi-degree present, or -1 for the zero polynomial."""
         return self.terms[-1][0] if self.terms else -1
 
-    def coefficient(self, degree: int) -> Fraction:
-        for d, c in self.terms:
-            if d == degree:
-                return c
-        return Fraction(0)
-
     def __add__(self, other: PiPoly) -> PiPoly:
         return PiPoly(self.terms + other.terms)
 
@@ -102,29 +95,6 @@ class PiPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: RationalLike) -> PiPoly:
-        if scalar == 0:
-            raise ZeroDivisionError("division of a PiPoly by zero")
-        return PiPoly(tuple((d, c / Fraction(scalar)) for d, c in self.terms))
-
-    def to_float(self) -> float:
-        """Evaluate at the double-precision pi constant."""
-        return math.fsum(float(c) * math.pi**d for d, c in self.terms)
-
-    def __str__(self) -> str:
-        """Canonical text: "c0 + c1·pi + c2·pi^2 + ..." with rational c_i."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for d, c in self.terms:
-            if d == 0:
-                parts.append(str(c))
-            elif d == 1:
-                parts.append(f"{c}·pi")
-            else:
-                parts.append(f"{c}·pi^{d}")
-        return " + ".join(parts)
 
 
 HALF_PI = PiPoly.pi_power(1, Fraction(1, 2))
@@ -187,12 +157,6 @@ class VPiPoly:
         """Largest v-degree present, or -1 for the zero polynomial."""
         return self.terms[-1][0] if self.terms else -1
 
-    def coefficient(self, degree: int) -> PiPoly:
-        for j, p in self.terms:
-            if j == degree:
-                return p
-        return PiPoly.zero()
-
     def __add__(self, other: VPiPoly) -> VPiPoly:
         return VPiPoly(self.terms + other.terms)
 
@@ -254,24 +218,6 @@ class VPiPoly:
     def integral_to_half_pi(self) -> PiPoly:
         """Exact definite integral over (0, pi/2)."""
         return self.cumulative_integral().evaluate(HALF_PI)
-
-    def to_float(self, v: float) -> float:
-        """Numeric evaluation at a float v (pi at double precision)."""
-        return math.fsum(p.to_float() * v**j for j, p in self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for j, p in self.terms:
-            coeff = str(p) if len(p.terms) == 1 else f"({p})"
-            if j == 0:
-                parts.append(coeff)
-            elif j == 1:
-                parts.append(f"{coeff}·v")
-            else:
-                parts.append(f"{coeff}·v^{j}")
-        return " + ".join(parts)
 
 
 # pi/2 - v, the argument of the reflection substitution

@@ -26,6 +26,7 @@ it, which cut the Monte Carlo CPU time to about a third.
 
 from __future__ import annotations
 
+import graphlib
 import math
 import os
 from collections import deque
@@ -75,37 +76,17 @@ class PartialOrder:
         object.__setattr__(self, "covers", frozenset(self.covers))
         if self.n < 1:
             raise ValueError("a partial order needs at least one element")
+        sorter = graphlib.TopologicalSorter()
         for i, j in self.covers:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"cover pair ({i}, {j}) out of range 1..{self.n}")
             if i == j:
                 raise ValueError(f"reflexive pair ({i}, {j})")
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        successors: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for i, j in self.covers:
-            successors[i].append(j)
-        state = dict.fromkeys(successors, 0)  # 0 new, 1 on stack, 2 done
-        for start in successors:
-            if state[start]:
-                continue
-            stack = [(start, iter(successors[start]))]
-            state[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state[nxt] == 1:
-                        raise ValueError("cover relations contain a cycle")
-                    if state[nxt] == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(successors[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
+            sorter.add(j, i)
+        try:
+            sorter.prepare()
+        except graphlib.CycleError:
+            raise ValueError("cover relations contain a cycle") from None
 
 
 def chain_poset(n: int) -> PartialOrder:

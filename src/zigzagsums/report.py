@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .euler_sums import (
@@ -252,8 +253,8 @@ def _exact_checks(rec: _Recorder) -> None:
               [order_polytope_volume(cyclic_poset(n)) for n in range(2, 11, 2)])
     rec.exact("exact.power_sum", "Bernoulli power-sum identity for N <= 20, p <= 10",
               True,
-              all(power_sum(N, p).direct == power_sum(N, p).via_bernoulli
-                  for N in range(1, 21) for p in range(11)))
+              all(sums.direct == sums.via_bernoulli
+                  for sums in (power_sum(N, p) for N in range(1, 21) for p in range(11))))
     rec.exact("exact.cyclic_bernoulli_identity",
               "A0(n) = 2^(n-1) (2^n - 1) |B_n| for even n <= 16",
               [cyclic_zigzag(n) for n in range(2, 17, 2)],
@@ -293,26 +294,26 @@ def _numeric_checks(rec: _Recorder) -> None:
               math.pi**2 / 8, parseval_sum(1, 10**4), 1e-6)
 
 
-def _montecarlo_pass(rec: _Recorder, seed: int, samples: int, suffix: str) -> bool:
-    all_ok = True
+def _montecarlo_cases():
+    """(name, description, estimator, exact value) for each Monte Carlo check, in report order."""
     for kind, n in MC_VOLUME_CASES:
         spec = PolytopeSpec(kind, n, "half_pi")
-        estimate = mc_volume(spec, samples, seed)
-        exact_value = volume_formula(spec).to_float()
-        tol = MC_SIGMAS * estimate.std_error
-        ok = abs(estimate.mean - exact_value) <= tol
-        all_ok &= ok
-        rec.add(f"montecarlo.volume.{kind}.{n}{suffix}",
-                f"{kind} polytope volume in dimension {n} at {MC_SIGMAS} standard errors",
-                ok, exact_value, estimate.mean, tol)
+        yield (f"volume.{kind}.{n}", f"{kind} polytope volume in dimension {n}",
+               partial(mc_volume, spec), volume_formula(spec))
     for n in MC_CUBE_DIMENSIONS:
-        estimate = mc_cube_integral(n, samples, seed)
-        exact_value = s_value(n).to_float()
+        yield (f"cube.{n}", f"cube integral in dimension {n}",
+               partial(mc_cube_integral, n), s_value(n))
+
+
+def _montecarlo_pass(rec: _Recorder, seed: int, samples: int, suffix: str) -> bool:
+    all_ok = True
+    for name, what, estimator, exact in _montecarlo_cases():
+        estimate = estimator(samples, seed)
+        exact_value = exact.to_float()
         tol = MC_SIGMAS * estimate.std_error
         ok = abs(estimate.mean - exact_value) <= tol
         all_ok &= ok
-        rec.add(f"montecarlo.cube.{n}{suffix}",
-                f"cube integral in dimension {n} at {MC_SIGMAS} standard errors",
+        rec.add(f"montecarlo.{name}{suffix}", f"{what} at {MC_SIGMAS} standard errors",
                 ok, exact_value, estimate.mean, tol)
     return all_ok
 

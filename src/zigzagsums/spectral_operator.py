@@ -223,12 +223,16 @@ def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:
     return eigenvalues.tolist() + [0.0] * (top - len(k))
 
 
+def _rank_mode(rank: int) -> int:
+    """The mode k whose eigenvalue 1/(4k+1) has the rank-th largest magnitude: 0, -1, 1, -2, 2, ..."""
+    return (rank + 1) // 2 * (1 if rank % 2 == 0 else -1)
+
+
 def exact_eigenvalue(rank: int) -> float:
-    """The true eigenvalue with the rank-th largest magnitude: k = 0, -1, 1, -2, 2, ..."""
+    """The true eigenvalue with the rank-th largest magnitude, 1/(4k+1) for k = _rank_mode(rank)."""
     if rank < 0:
         raise ValueError("rank must be nonnegative")
-    k = (rank + 1) // 2 * (1 if rank % 2 == 0 else -1)
-    return 1.0 / (4 * k + 1)
+    return 1.0 / (4 * _rank_mode(rank) + 1)
 
 
 def _square(x: np.ndarray, triangle: bool = False) -> np.ndarray:

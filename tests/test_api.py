@@ -6,8 +6,8 @@ import pytest
 import zigzagsums
 
 PUBLIC = {
-    "GEval", "KernelMatrix", "McEstimate", "PartialOrder", "PiMultiple", "PiPoly",
-    "PolytopeSpec", "SNumeric", "VPiPoly", "VerificationReport", "arctangent_check",
+    "GEval", "KernelMatrix", "McEstimate", "PartialOrder", "PiMultiple",
+    "PolytopeSpec", "SNumeric", "VerificationReport", "arctangent_check",
     "bernoulli", "chain_poset", "cyclic_poset", "cyclic_zigzag", "cyclic_zigzag_bruteforce",
     "eigenfunction_residual", "euler_number", "forward_map", "fourier_coeff_const", "g_eval",
     "inner_product_one", "inverse_map", "is_alternating", "is_cyclically_alternating",
@@ -30,7 +30,7 @@ REMOVED = [
 
 
 def test_public_names_are_pinned():
-    assert len(zigzagsums.__all__) == len(PUBLIC) == 48
+    assert len(zigzagsums.__all__) == len(PUBLIC) == 46
     assert set(zigzagsums.__all__) == PUBLIC
 
 
@@ -56,6 +56,17 @@ def test_removed_members_are_gone():
     assert not hasattr(zigzagsums.PiMultiple, "to_json")
     assert not hasattr(zigzagsums.PiMultiple, "from_json_dict")
     assert not hasattr(zigzagsums.VerificationReport, "from_json")
+
+
+def test_exact_arith_holds_only_exact_algebra():
+    from zigzagsums.exact_arith import PiPoly, VPiPoly
+
+    assert not hasattr(zigzagsums, "PiPoly")
+    assert not hasattr(zigzagsums, "VPiPoly")
+    for cls in (PiPoly, VPiPoly):
+        for member in ("to_float", "coefficient", "__truediv__"):
+            assert not hasattr(cls, member), (cls.__name__, member)
+        assert cls.__str__ is object.__str__
 
 
 @pytest.mark.parametrize("fn", [zigzagsums.bernoulli, zigzagsums.zigzag])

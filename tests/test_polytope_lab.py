@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import threading
@@ -47,12 +48,37 @@ class TestPosets:
             cyclic_poset(5)
 
     def test_cycle_detection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cover relations contain a cycle$"):
             PartialOrder(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+        with pytest.raises(ValueError, match="^cover relations contain a cycle$"):
+            PartialOrder(2, frozenset({(1, 2), (2, 1)}))
 
     def test_out_of_range_pair(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^cover pair \(1, 3\) out of range 1\.\.2$"):
             PartialOrder(2, frozenset({(1, 3)}))
+
+    def test_reflexive_pair_reported_before_cycle(self):
+        with pytest.raises(ValueError, match=r"^reflexive pair \(2, 2\)$"):
+            PartialOrder(3, frozenset({(2, 2)}))
+        # a reflexive pair is also a cycle of length 1; the pair check wins
+        with pytest.raises(ValueError, match=r"^reflexive pair \(3, 3\)$"):
+            PartialOrder(3, frozenset({(1, 2), (2, 1), (3, 3)}))
+
+    def test_acyclic_iff_some_order_respects_covers(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+            covers = frozenset(rng.sample(pairs, rng.randint(0, len(pairs))))
+            ordered = any(
+                all(rank.index(i) < rank.index(j) for i, j in covers)
+                for rank in itertools.permutations(range(1, n + 1))
+            )
+            if ordered:
+                assert PartialOrder(n, covers).covers == covers
+            else:
+                with pytest.raises(ValueError, match="cycle"):
+                    PartialOrder(n, covers)
 
 
 class TestLinearExtensions:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zigzagsums import spectral_operator
+from zigzagsums.euler_sums import PiMultiple
 from zigzagsums.exact_arith import HALF_PI, PiPoly, VPiPoly
 from zigzagsums.special_numbers import zigzag
 from zigzagsums.spectral_operator import (
@@ -143,7 +144,8 @@ class TestFourier:
 
     def test_parseval_converges_to_inner_product(self):
         for n in (2, 3):
-            target = inner_product_one(n).to_float()
+            ((power, coeff),) = inner_product_one(n).terms
+            target = PiMultiple(coeff, power).to_float()
             coarse = abs(parseval_sum(n - 1, 10) - target)
             fine = abs(parseval_sum(n - 1, 1000) - target)
             assert fine < coarse / 100
@@ -214,6 +216,7 @@ class TestEigenvalues:
             assert abs(value - exact) < 0.01 * abs(exact)
 
     def test_exact_sequence(self):
+        assert [spectral_operator._rank_mode(r) for r in range(5)] == [0, -1, 1, -2, 2]
         assert [exact_eigenvalue(r) for r in range(5)] == pytest.approx(
             [1, -1 / 3, 1 / 5, -1 / 7, 1 / 9]
         )

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -154,8 +155,28 @@ class TestPiMultiple:
         assert s_value(1).text() == "1/4 · pi"
         assert PiMultiple(Fraction(5, 24)).text() == "5/24"
 
+    def test_text_of_zero_and_negative_coefficients(self):
+        assert PiMultiple(Fraction(0), 3).text() == "0"
+        assert PiMultiple(Fraction(-1, 3), 2).text() == "-1/3 · pi^2"
+        assert PiMultiple(Fraction(-7, 2), 1).text() == "-7/2 · pi"
+
     def test_to_float(self):
         assert s_value(2).to_float() == pytest.approx(math.pi**2 / 8, abs=1e-15)
+        assert f"{s_value(2).to_float():.10f}".startswith("1.2337005501")
+
+    def test_to_float_zero(self):
+        assert PiMultiple(Fraction(0)).to_float() == 0.0
+        assert PiMultiple(Fraction(0), 5).to_float() == 0.0
+
+    def test_to_float_quarter_pi(self):
+        assert PiMultiple(Fraction(1, 4), 1).to_float() == pytest.approx(math.pi / 4, abs=1e-15)
+
+    def test_to_float_matches_product_for_random_values(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            coeff = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            power = rng.randint(0, 12)
+            assert PiMultiple(coeff, power).to_float() == float(coeff) * math.pi**power
 
     def test_to_float_is_plain_product_while_factors_are_normal(self):
         for n in range(1, 620):

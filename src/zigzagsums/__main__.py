@@ -1,0 +1,8 @@
+"""``python -m zigzagsums``: the same entry point as the ``zigzagsums`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -850,3 +854,27 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["--version"])
         assert excinfo.value.code == 0
+
+
+class TestModuleEntryPoint:
+    """``python -m zigzagsums`` runs the same main as the console script."""
+
+    @staticmethod
+    def _run_module(*argv):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONIOENCODING"] = "utf-8"
+        env.pop(cli.CONFIG_ENV, None)
+        return subprocess.run([sys.executable, "-m", "zigzagsums", *argv], env=env,
+                              capture_output=True, encoding="utf-8", timeout=60)
+
+    def test_usage_error_exits_2(self):
+        proc = self._run_module("sums", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: the sum diverges for n < 1; need n >= 1\n")
+
+    def test_answer_exits_0(self):
+        proc = self._run_module("sums", "2")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("S(2) = 1/8 · pi^2")

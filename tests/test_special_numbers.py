@@ -2,12 +2,15 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
-from zigzagsums import special_numbers
+from zigzagsums import report, special_numbers
 from zigzagsums.special_numbers import (
     SequenceCache,
-    _pattern_leaves,
+    _frontier_leaves,
+    _leaf_checks,
+    _leaf_counts,
     bernoulli,
     cyclic_zigzag,
     cyclic_zigzag_bruteforce,
@@ -168,13 +171,62 @@ class TestPrunedSearch:
     def test_cyclic_count_matches_full_walk(self, n):
         assert cyclic_zigzag_bruteforce(n) == len(_full_walk(n, is_cyclically_alternating))
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_leaves_are_each_alternating_permutation_once(self, n):
-        leaves = list(_pattern_leaves(n))
+        rows = _frontier_leaves(n)
+        leaves = [tuple(int(v) for v in row) for row in rows]
         assert len(leaves) == len(set(leaves))
         assert set(leaves) == set(_full_walk(n, is_alternating))
-        cyclic = [p for p in leaves if is_cyclically_alternating(p)]
-        assert set(cyclic) == set(_full_walk(n, is_cyclically_alternating))
+        assert all(is_alternating(p) for p in leaves)
+        _, cyclic = _leaf_checks(rows)
+        cyclic_leaves = [p for p, keep in zip(leaves, cyclic) if keep]
+        assert set(cyclic_leaves) == set(_full_walk(n, is_cyclically_alternating))
+
+
+def _is_permutation(row):
+    return sorted(row) == list(range(1, len(row) + 1))
+
+
+class TestLeafChecks:
+    """The vectorised leaf predicate on rows the frontier never emits."""
+
+    @staticmethod
+    def _rows(n):
+        rows = list(itertools.permutations(range(1, n + 1)))
+        if n >= 2:
+            rows.append((1,) * n)  # repeated value
+            rows.append((1, 3) * (n // 2) + (1,) * (n % 2))  # alternating, but repeats
+        rows.append(tuple(range(2, n + 2)))  # n + 1 lies outside 1..n
+        rows.append((0,) + tuple(range(2, n + 1)))  # 0 lies outside 1..n
+        return rows
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_agrees_with_scalar_predicates(self, n):
+        rows = self._rows(n)
+        alternating, cyclic = _leaf_checks(np.array(rows, dtype=np.int8))
+        for row, alt, cyc in zip(rows, alternating, cyclic):
+            assert bool(alt) == (_is_permutation(row) and is_alternating(row)), row
+            assert bool(cyc) == (_is_permutation(row) and is_cyclically_alternating(row)), row
+
+
+class _Refused:
+    """Stands in for the sequence cache: any use of it means a recurrence was read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the brute force read the sequence cache ({name})")
+
+
+class TestBruteForceIndependence:
+    def test_cold_search_needs_no_recurrence(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the brute force called a recurrence")
+
+        monkeypatch.setattr(special_numbers, "zigzag", refuse)
+        monkeypatch.setattr(special_numbers, "bernoulli", refuse)
+        monkeypatch.setattr(special_numbers, "_CACHE", _Refused())
+        _leaf_counts.cache_clear()
+        assert {n: zigzag_bruteforce(n) for n in range(1, 11)} == report.ZIGZAG_TABLE
+        assert {n: cyclic_zigzag_bruteforce(n) for n in range(2, 11, 2)} == report.CYCLIC_ZIGZAG_TABLE
 
 
 class TestEulerNumbers:

@@ -78,9 +78,9 @@ DEFAULTS = {"digits": 12, "seed": 0, "samples": 10**6, "grid": 2000}
 GRID_LIMIT = 4096
 
 # Largest Monte Carlo sample count accepted.  Run time is linear in the count
-# and grows with the dimension: a volume estimate takes 0.036 s per 10^6
-# samples at n = 8 and 0.10 s at n = 32 on 2 CPUs, so an estimate at the cap
-# takes about 3 s at n = 8 and up to about 11 s at n = 32.
+# and grows with the dimension: on 2 CPUs an estimate at the cap takes about
+# 1.2 s (volume) and 1.7 s (cube integral) at n = 8, and 5.2 s and 7.6 s at
+# n = 32, the dimension cap.
 SAMPLES_LIMIT = 10**8
 
 # Largest n each exact command answers.  Above it, some exact value the
@@ -104,10 +104,11 @@ VOLUME_LIMIT = 1423
 TERMS_LIMIT = 1424
 
 # Largest dimension of the Monte Carlo and spectral trace routes.  Each
-# Monte Carlo pool worker draws blocks of BLOCK_ROWS x n float64, 131 kB per
-# dimension, so 4.2 MB at n = 32, four times the block at the n = 8 the
-# verify suite uses; 10^6 volume samples take about 0.1 s at n = 8 and 0.5 s
-# at n = 32 on 2 CPUs.  The spectral trace takes about 2 log2(n) products
+# Monte Carlo pool worker draws blocks of BLOCK_ROWS float64 per drawn
+# coordinate, 131 kB each: ceil(n/2) coordinates for a volume, n for the
+# cube integral, so at most 4.2 MB at n = 32; 10^6 samples take about
+# 0.012 s (volume) and 0.017 s (cube integral) at n = 8, and 0.05 s and
+# 0.076 s at n = 32 on 2 CPUs.  The spectral trace takes about 2 log2(n) products
 # of dense grid x grid matrices, so its cost grows without bound in n; at
 # GRID_LIMIT the slowest n up to the cap is n = 29 (3 blocked squares and 5
 # full products), 11.4 s and 555 MB peak on 2 CPUs, against 4.3 s and

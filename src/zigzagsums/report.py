@@ -19,11 +19,12 @@ probability erfc(4 / sqrt(2)) = 6.3e-5, so a pass fails with probability at
 most 7 times that, about 4.4e-4 (a union bound: the checks share a seed and
 are not independent).  The report fails only if the retry on seed+1, an
 independent stream, fails as well: about 2e-7.  The metadata entry
-``montecarlo_false_fail`` carries both bounds.  For ``montecarlo.cube.2``
-the approximation is only a heuristic: its integrand 1 / (1 - x^2 y^2) has
-infinite variance, its square growing like 1 / (1 - xy)^2 at the corner.  When the suite includes
-the Monte Carlo checks, a bad seed or sample count is refused before any
-check runs.
+``montecarlo_false_fail`` carries both bounds.  Every check averages a
+bounded summand: the volume checks a product of chances in [0, 1], the
+cube checks an integrand in [1/2, 1] for n = 3 and one at most 4 for n = 2,
+after the substitution x_i = 1 - s_i^2.  The bounds still rest on the
+normal approximation.  When the suite includes the Monte Carlo checks, a
+bad seed or sample count is refused before any check runs.
 """
 
 from __future__ import annotations

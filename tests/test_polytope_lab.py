@@ -279,6 +279,70 @@ class TestInverseMap:
             inverse_map((0.5, -0.1))
 
 
+def _forward_reference(u):
+    """The forward map, one indexed coordinate at a time."""
+    n = len(u)
+    for i in range(n):
+        if not (u[i] > 0.0 and u[i] + u[(i + 1) % n] < math.pi / 2):
+            raise ValueError("point is not strictly inside the open polytope")
+    return tuple(math.sin(u[i]) / math.cos(u[(i + 1) % n]) for i in range(n))
+
+
+def _jacobian_fd_reference(u, h=1e-6):
+    """The central-difference Jacobian, filled entry by entry."""
+    n = len(u)
+    jac = np.empty((n, n))
+    for j in range(n):
+        up = list(u)
+        down = list(u)
+        up[j] += h
+        down[j] -= h
+        fu = _forward_reference(up)
+        fd = _forward_reference(down)
+        for i in range(n):
+            jac[i, j] = (fu[i] - fd[i]) / (2.0 * h)
+    return float(np.linalg.det(jac))
+
+
+def _inverse_reference(x, tol=1e-13, max_iter=200):
+    """The fixed-point inverse, composed from contraction_map."""
+    u1 = math.pi / 4
+    for _ in range(max_iter):
+        nxt = u1
+        for xi in reversed(x):
+            nxt = contraction_map(xi, nxt)
+        if abs(nxt - u1) < tol:
+            u1 = nxt
+            break
+        u1 = nxt
+    u = [0.0] * len(x)
+    u[0] = u1
+    nxt = u1
+    for i in range(len(x) - 1, 0, -1):
+        nxt = contraction_map(x[i], nxt)
+        u[i] = nxt
+    return tuple(u)
+
+
+class TestScalarKernels:
+    def test_same_bits_as_the_indexed_formulas(self):
+        rng = random.Random(41)
+        for _ in range(1000):
+            n = rng.randint(1, 8)
+            x = tuple(rng.uniform(0.05, 0.9) for _ in range(n))
+            u = inverse_map(x)
+            assert u == _inverse_reference(x)
+            assert forward_map(u) == _forward_reference(u)
+            assert jacobian_fd(u) == _jacobian_fd_reference(u)
+
+    def test_outside_perturbation_raises_like_the_reference(self):
+        # the upward step leaves the polytope: both raise the same error
+        u = (0.5, math.pi / 2 - 0.5 - 1e-7)
+        for f in (jacobian_fd, _jacobian_fd_reference):
+            with pytest.raises(ValueError, match="^point is not strictly inside"):
+                f(u)
+
+
 def _chunk_points(seed, index, size, dim):
     """The points of Monte Carlo chunk ``index`` as (rows, dim) arrays, block by block.
 
@@ -291,9 +355,60 @@ def _chunk_points(seed, index, size, dim):
 
 
 def _cube_integrand_chunk(n, seed, index, size):
-    """The cube integrand at the points of Monte Carlo chunk ``index``."""
-    t = np.concatenate([points.prod(axis=1) for points in _chunk_points(seed, index, size, n)])
+    """The cube integrand at the points of Monte Carlo chunk ``index``.
+
+    For n = 2 the points are s with x_i = 1 - s_i^2, and 1 - x_1 x_2 is
+    s_1^2 + s_2^2 - (s_1 s_2)^2.
+    """
+    points = np.concatenate(list(_chunk_points(seed, index, size, n)))
+    if n == 2:
+        s1, s2 = points.T
+        p = s1 * s2
+        d = s1 * s1 + s2 * s2 - p * p
+        return 4.0 * p / ((2.0 - d) * d)
+    t = points.prod(axis=1)
     return 1.0 / (1.0 + (-1.0 if n % 2 == 0 else 1.0) * t * t)
+
+
+def _volume_summand_chunk(spec, seed, index, size):
+    """The conditional volume summand at the points of Monte Carlo chunk ``index``.
+
+    A point draws its odd coordinates x_1, x_3, ... (unit scale); the summand
+    is the product over even j of 1 - max(x_{j-1}, x_{j+1}), where x_{n+1}
+    is x_1 for a cyclic polytope and absent for a chain, times [x_n + x_1 < 1]
+    for odd cyclic n.
+    """
+    n = spec.n
+    points = np.concatenate(list(_chunk_points(seed, index, size, (n + 1) // 2)))
+    x = {2 * k + 1: points[:, k] for k in range(points.shape[1])}
+    if spec.kind == "cyclic":
+        x[n + 1] = x[1]
+    f = np.ones(size)
+    for j in range(2, n + 1, 2):
+        f = f * (1.0 - (np.maximum(x[j - 1], x[j + 1]) if j + 1 in x else x[j - 1]))
+    if spec.kind == "cyclic" and n % 2:
+        f = f * (x[n] + x[1] < 1.0)
+    return f
+
+
+def _chan_fold(chunks):
+    """Mean and standard error of per-chunk values, folded serially in chunk order.
+
+    Chunk sums are added in turn and squared deviations about each chunk's
+    mean combined by Chan's update.
+    """
+    count, total, deviations = 0, 0.0, 0.0
+    for f in chunks:
+        size = len(f)
+        chunk_sum = float(f.sum())
+        chunk_deviations = float(((f - chunk_sum / size) ** 2).sum())
+        if count:
+            delta = chunk_sum / size - total / count
+            deviations += delta * delta * (count * size / (count + size))
+        deviations += chunk_deviations
+        total += chunk_sum
+        count += size
+    return total / count, math.sqrt(deviations / count / count)
 
 
 class TestMonteCarlo:
@@ -307,37 +422,32 @@ class TestMonteCarlo:
         spec = PolytopeSpec("chain", 3, "unit")
         assert mc_volume(spec, 70000, seed=3) == mc_volume(spec, 70000, seed=3)
 
-    def test_chunk_protocol(self):
+    @pytest.mark.parametrize(
+        "kind,n,scale",
+        [("cyclic", 2, "unit"), ("cyclic", 5, "half_pi"), ("cyclic", 6, "half_pi"),
+         ("chain", 1, "unit"), ("chain", 4, "half_pi"), ("chain", 7, "unit")],
+    )
+    def test_chunk_protocol(self, kind, n, scale):
         # estimate must be reproducible from the per-chunk streams alone
-        spec = PolytopeSpec("cyclic", 2, "unit")
-        samples = CHUNK_SAMPLES + 12345
-        estimate = mc_volume(spec, samples, seed=11)
-        hits = 0
-        for index, size in enumerate((CHUNK_SAMPLES, 12345)):
-            for points in _chunk_points(11, index, size, 2):
-                hits += int(spec.contains(points).sum())
-        assert estimate.mean == pytest.approx(hits / samples, abs=0)
+        spec = PolytopeSpec(kind, n, scale)
+        sizes = (CHUNK_SAMPLES, 12345)
+        samples = sum(sizes)
+        mean, std_error = _chan_fold(
+            _volume_summand_chunk(spec, 11, index, size) for index, size in enumerate(sizes)
+        )
+        box = spec.bound**n
+        expected = McEstimate(mean * box, std_error * box, samples, 11)
+        assert mc_volume(spec, samples, seed=11) == expected
 
     def test_cube_integral_chunk_protocol(self):
-        # a serial fold over whole-chunk draws, chunk by chunk in index order:
-        # sums added in turn, squared deviations combined by Chan's update
-        n, seed = 3, 5
-        sizes = (CHUNK_SAMPLES, CHUNK_SAMPLES, CHUNK_SAMPLES, 4321)
-        samples = sum(sizes)
-        count, total, deviations = 0, 0.0, 0.0
-        for index, size in enumerate(sizes):
-            f = _cube_integrand_chunk(n, seed, index, size)
-            chunk_sum = float(f.sum())
-            chunk_deviations = float(((f - chunk_sum / size) ** 2).sum())
-            if count:
-                delta = chunk_sum / size - total / count
-                deviations += delta * delta * (count * size / (count + size))
-            deviations += chunk_deviations
-            total += chunk_sum
-            count += size
-        mean = total / samples
-        std_error = math.sqrt(deviations / samples / samples)
-        assert mc_cube_integral(n, samples, seed) == McEstimate(mean, std_error, samples, seed)
+        # a serial fold over whole-chunk draws, chunk by chunk in index order
+        for n, seed in ((2, 4), (3, 5)):
+            sizes = (CHUNK_SAMPLES, CHUNK_SAMPLES, CHUNK_SAMPLES, 4321)
+            samples = sum(sizes)
+            mean, std_error = _chan_fold(
+                _cube_integrand_chunk(n, seed, index, size) for index, size in enumerate(sizes)
+            )
+            assert mc_cube_integral(n, samples, seed) == McEstimate(mean, std_error, samples, seed)
 
     def test_cube_integral_matches_two_pass_reference(self):
         n, seed = 2, 8
@@ -361,11 +471,15 @@ class TestMonteCarlo:
     def test_estimates_independent_of_worker_count(self, monkeypatch):
         # more chunks than one submission window even at 4 workers
         samples = (4 * CHUNK_WINDOW + 5) * CHUNK_SAMPLES + 99
-        spec = PolytopeSpec("chain", 3, "half_pi")
         results = []
         for workers in (1, 4):
             monkeypatch.setattr(polytope_lab, "_worker_count", lambda workers=workers: workers)
-            results.append((mc_volume(spec, samples, 21), mc_cube_integral(4, samples, 22)))
+            results.append((
+                mc_volume(PolytopeSpec("chain", 3, "half_pi"), samples, 21),
+                mc_volume(PolytopeSpec("cyclic", 5, "unit"), samples, 23),
+                mc_cube_integral(4, samples, 22),
+                mc_cube_integral(2, samples, 24),
+            ))
         assert results[0] == results[1]
 
     def test_submissions_stay_within_window(self, monkeypatch):
@@ -403,22 +517,54 @@ class TestMonteCarlo:
         mc_volume(PolytopeSpec("cyclic", 3, "unit"), 3 * CHUNK_SAMPLES, seed=4)
         assert threading.active_count() == before
 
-    def test_zero_hits_have_nonzero_std_error(self):
-        # the 40-dimensional cyclic polytope fills about 1.5e-8 of its box
+    def test_chain_of_dimension_one_is_exact(self):
+        # no even coordinate: every summand is 1
+        for scale in ("unit", "half_pi"):
+            spec = PolytopeSpec("chain", 1, scale)
+            estimate = mc_volume(spec, 10**4, seed=0)
+            assert estimate.mean == spec.bound
+            assert estimate.std_error == 0.0
+
+    def test_tiny_volume_has_positive_mean_and_std_error(self):
+        # the 40-dimensional cyclic polytope fills about 1.5e-8 of its box,
+        # where an indicator estimate at 10^4 samples would see no hit
         spec = PolytopeSpec("cyclic", 40, "half_pi")
-        samples = 10**4
-        estimate = mc_volume(spec, samples, seed=0)
-        assert estimate.mean == 0.0
-        p_tilde = 2 / (samples + 4)
-        box = spec.bound**40
-        assert estimate.std_error == math.sqrt(p_tilde * (1 - p_tilde) / (samples + 4)) * box
+        estimate = mc_volume(spec, 10**4, seed=0)
+        assert estimate.mean > 0.0
+        assert estimate.std_error > 0.0
         assert abs(estimate.mean - volume_formula(spec).to_float()) <= 4 * estimate.std_error
 
-    def test_all_hits_have_nonzero_std_error(self):
-        spec = PolytopeSpec("chain", 1, "unit")
-        estimate = mc_volume(spec, 10**4, seed=0)
-        assert estimate.mean == 1.0
-        assert estimate.std_error > 0.0
+    @pytest.mark.parametrize(
+        "kind,n", [("cyclic", n) for n in range(2, 9)] + [("chain", n) for n in range(3, 9)]
+    )
+    def test_agrees_with_indicator_estimate(self, kind, n):
+        # an independent indicator estimate built on contains, on another stream
+        spec = PolytopeSpec(kind, n, "half_pi")
+        samples = 10**5
+        conditional = mc_volume(spec, samples, seed=n)
+        points = np.random.default_rng((17, n)).random((samples, n)) * spec.bound
+        box = spec.bound**n
+        p = np.count_nonzero(spec.contains(points)) / samples
+        indicator_std_error = math.sqrt(p * (1.0 - p) / samples) * box
+        combined = math.hypot(conditional.std_error, indicator_std_error)
+        assert abs(conditional.mean - p * box) <= 5 * combined
+
+    @pytest.mark.parametrize(
+        "kind,n", [("cyclic", n) for n in range(2, 9)] + [("chain", n) for n in range(1, 9)]
+    )
+    def test_std_error_at_most_binomial(self, kind, n):
+        # Rao-Blackwell: integrating the even coordinates out never adds variance
+        spec = PolytopeSpec(kind, n, "half_pi")
+        samples = 10**5
+        estimate = mc_volume(spec, samples, seed=3)
+        box = spec.bound**n
+        p = volume_formula(spec).to_float() / box
+        assert estimate.std_error <= math.sqrt(p * (1.0 - p) / samples) * box
+
+    def test_cyclic_32_within_four_sigma(self):
+        spec = PolytopeSpec("cyclic", 32, "half_pi")
+        estimate = mc_volume(spec, 10**6, seed=0)
+        assert abs(estimate.mean - volume_formula(spec).to_float()) <= 4 * estimate.std_error
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
@@ -427,6 +573,28 @@ class TestMonteCarlo:
     def test_cube_integral_estimate(self):
         estimate = mc_cube_integral(2, 10**5, seed=0)
         assert abs(estimate.mean - math.pi**2 / 8) <= 4 * estimate.std_error
+
+    def test_cube_two_summand_is_the_substituted_integrand(self):
+        # away from the corner no cancellation hides in 1 - x_1 x_2
+        s = np.random.default_rng(3).uniform(0.1, 1.0, (2, 1000))
+        x = 1.0 - s * s
+        plain = 4.0 * s[0] * s[1] / (1.0 - (x[0] * x[1]) ** 2)
+        summand = np.empty(1000)
+        polytope_lab._cube_summand_2(s.copy(), summand)
+        np.testing.assert_allclose(summand, plain, rtol=1e-12)
+
+    def test_cube_two_summand_bounded_and_std_error_stable(self):
+        # the substituted n = 2 integrand is at most 4, so its variance is
+        # finite and the reported std error barely moves between seeds
+        top = np.nextafter(1.0, 0.0)
+        corner = np.array([[top, top, 0.5, top], [top, 0.5, top, 2.0**-53]])
+        summand = np.empty(4)
+        polytope_lab._cube_summand_2(corner, summand)
+        assert summand.max() <= 4.0
+        for index in range(4):
+            assert _cube_integrand_chunk(2, 6, index, CHUNK_SAMPLES).max() <= 4.0
+        errors = [mc_cube_integral(2, 10**6, seed).std_error for seed in range(20)]
+        assert max(errors) <= 1.01 * min(errors)
 
     def test_cube_bad_dimension(self):
         with pytest.raises(ValueError):

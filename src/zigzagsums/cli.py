@@ -268,9 +268,7 @@ def cmd_volume(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     if method == "extensions":
         _require(n <= EXTENSION_LIMIT, f"extension counting supports n <= {EXTENSION_LIMIT}")
         unit_volume = order_polytope_volume(cyclic_poset(n) if kind == "cyclic" else chain_poset(n))
-        if scale == "half_pi":
-            return _exact("Vol", PiMultiple(unit_volume / 2**n, n), digits)
-        return _exact("Vol", PiMultiple(unit_volume, 0), digits)
+        return _exact("Vol", spec.exact_volume(unit_volume), digits)
 
     route = "the spectral trace route" if method == "spectral" else "Monte Carlo"
     _require(n <= MC_DIMENSION_LIMIT, f"{route} supports n <= {MC_DIMENSION_LIMIT}")

@@ -19,8 +19,9 @@ with numpy.  A run of ``samples`` points is cut into chunks of
 block drawn coordinate-major as one (dim, rows) array, so the summand
 kernels run on contiguous coordinate rows.  The chunks run on a thread pool
 sized to the CPUs the process may use (numpy releases the interpreter lock
-while it draws and computes), and their sums and squared deviations are
-folded in chunk order, so the estimates do not depend on the thread count.
+while it draws and computes), submitted in windows of consecutive chunk
+indices, and their sums and squared deviations are folded in chunk order,
+so the estimates do not depend on the thread count.
 Fixed-seed estimates have changed twice: once when SFC64 and the
 coordinate-major blocks replaced a point-major Philox stream, which cut the
 Monte Carlo CPU time to about a third, and once when the volume estimate
@@ -33,8 +34,7 @@ from __future__ import annotations
 import graphlib
 import math
 import os
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -49,8 +49,9 @@ from .special_numbers import zigzag
 # scheduling.  Part of the stream definition: changing it changes estimates.
 CHUNK_SAMPLES = 65536
 
-# Chunks submitted ahead per pool worker: enough to keep every worker busy
-# while the caller folds results in order, few enough to bound memory.
+# Chunks per pool worker in one submission window: the pool gets the next
+# window only once the caller has read every result of the last, so this
+# keeps every worker busy for most of a window and bounds memory.
 CHUNK_WINDOW = 4
 
 # Points a worker draws and evaluates at a time (1 MB of coordinates at
@@ -67,6 +68,11 @@ BLOCK_ROWS = 16384
 EXTENSION_LIMIT = 22
 
 HALF_PI = math.pi / 2
+
+# inverse_map's convergence tolerance and iteration cap; jacobian_fd's step.
+INVERSE_TOL = 1e-13
+INVERSE_MAX_ITER = 200
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,12 @@ class PolytopeSpec:
         """Box edge: the pairwise constraint bound."""
         return 1.0 if self.scale == "unit" else HALF_PI
 
+    def exact_volume(self, unit_volume: Fraction) -> PiMultiple:
+        """The exact volume at this scale, given the exact volume at unit scale."""
+        if self.scale == "unit":
+            return PiMultiple(unit_volume, 0)
+        return PiMultiple(unit_volume / 2**self.n, self.n)
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Vectorized open-region membership for an (m, n) array of points.
 
@@ -200,18 +212,14 @@ class PolytopeSpec:
 def volume_formula(spec: PolytopeSpec) -> PiMultiple:
     """Exact volume from the series coefficients and zigzag counts.
 
-    cyclic/half_pi: s_coeff(n) pi^n.      cyclic/unit: 2^n s_coeff(n).
-    chain/unit:     A(n)/n!.              chain/half_pi: (pi/2)^n A(n)/n!.
+    At unit scale the cyclic volume is 2^n s_coeff(n) and the chain volume
+    A(n)/n!; ``PolytopeSpec.exact_volume`` rescales to the pi/2 box, where
+    the cyclic volume is s_coeff(n) pi^n = S(n).
     """
     n = spec.n
     if spec.kind == "cyclic":
-        if spec.scale == "half_pi":
-            return PiMultiple(s_coeff(n), n)
-        return PiMultiple(s_coeff(n) * 2**n, 0)
-    chain_vol = Fraction(zigzag(n), math.factorial(n))
-    if spec.scale == "unit":
-        return PiMultiple(chain_vol, 0)
-    return PiMultiple(chain_vol / 2**n, n)
+        return spec.exact_volume(s_coeff(n) * 2**n)
+    return spec.exact_volume(Fraction(zigzag(n), math.factorial(n)))
 
 
 @dataclass(frozen=True)
@@ -224,41 +232,12 @@ class McEstimate:
     seed: int
 
     def as_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
-
-def _chunk_size(samples: int, index: int) -> int:
-    """Points in chunk ``index`` of a run of ``samples`` points."""
-    return min(CHUNK_SAMPLES, samples - index * CHUNK_SAMPLES)
+        return asdict(self)
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     """The generator chunk ``index`` of a run seeded ``seed`` draws from."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, index))))
-
-
-def _uniform_blocks(seed: int, index: int, samples: int, dim: int) -> Iterator[np.ndarray]:
-    """Chunk ``index`` of a run of uniform [0,1) points, in blocks of ``BLOCK_ROWS``.
-
-    Each block is a (dim, rows) array, coordinate-major: block b holds the
-    next dim * rows doubles of the chunk's stream, and row i of it is
-    coordinate i of the block's points.  Every block is a view of one
-    buffer the chunk reuses, so a caller must finish with a block before
-    asking for the next.
-    """
-    size = _chunk_size(samples, index)
-    rng = _chunk_rng(seed, index)
-    buffer = np.empty(dim * min(BLOCK_ROWS, size))
-    for start in range(0, size, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, size - start)
-        block = buffer[: dim * rows].reshape(dim, rows)
-        rng.random(out=block)
-        yield block
 
 
 def _worker_count() -> int:
@@ -272,9 +251,11 @@ def _chunk_results(work: Callable[[int], object], samples: int) -> Iterator:
     """``work(index)`` for every chunk index of a run, evaluated on a thread pool.
 
     Results are yielded in chunk-index order, so a caller folding them in
-    that order gets the same bits for any number of workers.  At most
-    ``CHUNK_WINDOW`` times the worker count of chunks are submitted ahead of
-    the one being read, which keeps memory independent of ``samples``.
+    that order gets the same bits for any number of workers.  Chunks are
+    submitted in windows of ``CHUNK_WINDOW`` times the worker count, the
+    next once the last is read, so memory does not grow with ``samples``;
+    ``Executor.map`` cancels the rest of a window when a result raises or
+    the caller stops reading.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -282,17 +263,8 @@ def _chunk_results(work: Callable[[int], object], samples: int) -> Iterator:
     workers = min(_worker_count(), chunks)
     window = CHUNK_WINDOW * workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            pending = deque()
-            for index in range(chunks):
-                pending.append(pool.submit(work, index))
-                if len(pending) > window:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        for start in range(0, chunks, window):
+            yield from pool.map(work, range(start, min(start + window, chunks)))
 
 
 def _check_run(samples: int, seed: int) -> None:
@@ -308,23 +280,28 @@ _Summand = Callable[[np.ndarray, np.ndarray], None]
 
 def _chunk_sums(
     summand: _Summand, dim: int, seed: int, samples: int, index: int
-) -> tuple[float, float]:
-    """Sum of ``summand`` over chunk ``index`` and its sum of squares about the chunk mean.
+) -> tuple[int, float, float]:
+    """Size of chunk ``index``, sum of ``summand`` over it, and sum of squares about its mean.
 
-    ``summand(block, out)`` writes the summand at each column of a (dim,
-    rows) block of uniform coordinates into ``out`` and may overwrite the
-    block.
+    The chunk's uniform [0,1) points come in coordinate-major (dim, rows)
+    blocks of ``BLOCK_ROWS`` points, each the next dim * rows doubles of the
+    chunk's stream.  ``summand(block, out)`` writes the summand at each
+    column of a block into ``out`` and may overwrite the block.
     """
-    f = np.empty(_chunk_size(samples, index))
-    start = 0
-    for block in _uniform_blocks(seed, index, samples, dim):
-        summand(block, f[start : start + block.shape[1]])
-        start += block.shape[1]
+    size = min(CHUNK_SAMPLES, samples - index * CHUNK_SAMPLES)
+    rng = _chunk_rng(seed, index)
+    buffer = np.empty(dim * min(BLOCK_ROWS, size))
+    f = np.empty(size)
+    for start in range(0, size, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, size - start)
+        block = buffer[: dim * rows].reshape(dim, rows)
+        rng.random(out=block)
+        summand(block, f[start : start + rows])
     # Summing the whole chunk at once keeps numpy's pairwise summation order.
     total = float(f.sum())
-    f -= total / len(f)
+    f -= total / size
     f *= f
-    return total, float(f.sum())
+    return size, total, float(f.sum())
 
 
 def _mc_mean(summand: _Summand, dim: int, samples: int, seed: int) -> tuple[float, float]:
@@ -338,8 +315,7 @@ def _mc_mean(summand: _Summand, dim: int, samples: int, seed: int) -> tuple[floa
     total = 0.0
     deviations = 0.0
     sums = _chunk_results(partial(_chunk_sums, summand, dim, seed, samples), samples)
-    for index, (chunk_sum, chunk_deviations) in enumerate(sums):
-        size = _chunk_size(samples, index)
+    for size, chunk_sum, chunk_deviations in sums:
         if count:
             delta = chunk_sum / size - total / count
             deviations += delta * delta * (count * size / (count + size))
@@ -479,16 +455,16 @@ def jacobian_formula(x: Sequence[float]) -> float:
     return 1.0 - t * t if len(x) % 2 == 0 else 1.0 + t * t
 
 
-def jacobian_fd(u: Sequence[float], h: float = 1e-6) -> float:
-    """Central-difference Jacobian determinant of the forward map at u."""
+def jacobian_fd(u: Sequence[float]) -> float:
+    """Central-difference Jacobian determinant of the forward map at u, step ``FD_STEP``."""
     n = len(u)
     jac = np.empty((n, n))
-    step = 2.0 * h
+    step = 2.0 * FD_STEP
     for j in range(n):
         up = list(u)
         down = list(u)
-        up[j] += h
-        down[j] -= h
+        up[j] += FD_STEP
+        down[j] -= FD_STEP
         jac[:, j] = [(a - b) / step for a, b in zip(forward_map(up), forward_map(down))]
     return float(np.linalg.det(jac))
 
@@ -498,13 +474,11 @@ def contraction_map(x: float, u: float) -> float:
     return math.asin(x * math.cos(u))
 
 
-def inverse_map(
-    x: Sequence[float], tol: float = 1e-13, max_iter: int = 200
-) -> tuple[float, ...]:
+def inverse_map(x: Sequence[float]) -> tuple[float, ...]:
     """The unique preimage of x in (0,1)^n under the forward map.
 
     Iterates the composite f_{x_1} o ... o f_{x_n} on u_1 from pi/4 until
-    successive iterates differ by less than tol, then back-substitutes
+    successive iterates differ by less than ``INVERSE_TOL``, then back-substitutes
     u_i = f_{x_i}(u_{i+1}).  The composite is a strict contraction, but its
     rate approaches 1 near the corner (1,...,1), so slow inputs raise
     instead of returning a silently unconverged point.
@@ -519,17 +493,17 @@ def inverse_map(
     asin, cos = math.asin, math.cos
     backward = tuple(reversed(x))
     u1 = math.pi / 4
-    for _ in range(max_iter):
+    for _ in range(INVERSE_MAX_ITER):
         nxt = u1
         for xi in backward:
             nxt = asin(xi * cos(nxt))
-        if abs(nxt - u1) < tol:
+        if abs(nxt - u1) < INVERSE_TOL:
             u1 = nxt
             break
         u1 = nxt
     else:
         raise RuntimeError(
-            f"fixed-point iteration did not converge in {max_iter} iterations "
+            f"fixed-point iteration did not converge in {INVERSE_MAX_ITER} iterations "
             "(contraction rate approaches 1 near the all-ones corner)"
         )
     u = [0.0] * n

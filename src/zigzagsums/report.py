@@ -24,7 +24,8 @@ bounded summand: the volume checks a product of chances in [0, 1], the
 cube checks an integrand in [1/2, 1] for n = 3 and one at most 4 for n = 2,
 after the substitution x_i = 1 - s_i^2.  The bounds still rest on the
 normal approximation.  When the suite includes the Monte Carlo checks, a
-bad seed or sample count is refused before any check runs.
+bad seed or sample count is refused before any check runs, and when it
+includes the spectral checks, so is a grid below ``SPECTRAL_RANKS``.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ SUITES = ("exact", "numeric", "montecarlo", "spectral", "all")
 MC_VOLUME_CASES = (("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("chain", 3), ("chain", 5))
 MC_CUBE_DIMENSIONS = (2, 3)
 MC_SIGMAS = 4
+
+# Top Nystrom eigenvalues the spectral checks compare, so the least grid.
+SPECTRAL_RANKS = 5
 
 # Corrections applied to commonly printed conversion identities; the exact
 # table calibrations in the 'exact' suite are what enforce them.
@@ -345,15 +349,15 @@ def _spectral_checks(rec: _Recorder, grid: int) -> None:
     # The closed-form spectrum reads only the grid size, so no dense matrix
     # is assembled for it; each trace assembles its own.
     spectrum = sym_eigenvalues(nystrom_matrix(grid), grid)
-    top5 = spectrum[:5]
-    for rank, approx in enumerate(top5):
+    top = spectrum[:SPECTRAL_RANKS]
+    for rank, approx in enumerate(top):
         exact_value = exact_eigenvalue(rank)
         rec.close(f"spectral.eigenvalue.{rank}",
                   f"Nystrom eigenvalue of rank {rank} within 1% at N={grid}",
                   exact_value, approx, 0.01 * abs(exact_value))
     gaps_ok = all(
-        abs(top5[i] - top5[j]) > 10 * 0.01 * max(abs(exact_eigenvalue(i)), abs(exact_eigenvalue(j)))
-        for i in range(5) for j in range(i + 1, 5)
+        abs(top[i] - top[j]) > 10 * 0.01 * max(abs(exact_eigenvalue(i)), abs(exact_eigenvalue(j)))
+        for i in range(SPECTRAL_RANKS) for j in range(i + 1, SPECTRAL_RANKS)
     )
     rec.exact("spectral.multiplicity", "top eigenvalues pairwise distinct beyond tolerance",
               True, gaps_ok)
@@ -383,6 +387,10 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if suite in ("montecarlo", "all"):
         _check_run(samples, seed)
+    if suite in ("spectral", "all") and grid < SPECTRAL_RANKS:
+        raise ValueError(
+            f"the spectral checks need a grid of at least {SPECTRAL_RANKS}, not {grid}"
+        )
     rec = _Recorder()
     retried = False
     if suite in ("exact", "all"):

@@ -298,6 +298,16 @@ class TestVolume:
         assert (code, err) == (0, "")
         assert Fraction(json.loads(out)["coeff"]) == Fraction(zigzag(n), math.factorial(n))
 
+    @pytest.mark.parametrize("kind", ["chain", "cyclic"])
+    @pytest.mark.parametrize("scale", ["unit", "half_pi"])
+    def test_extensions_match_exact(self, capsys, kind, scale):
+        dimensions = range(2, 13, 2) if kind == "cyclic" else range(1, 13)
+        for n in dimensions:
+            argv = ("volume", kind, str(n))
+            extensions = run(capsys, *argv, "extensions", "--scale", scale, "--json")
+            assert extensions[0] == 0
+            assert extensions == run(capsys, *argv, "exact", "--scale", scale, "--json")
+
     def test_extensions_above_limit_build_no_poset(self, capsys, monkeypatch):
         def refuse(n):
             raise AssertionError("a poset was built for a refused n")
@@ -620,6 +630,23 @@ class TestNegativeOptions:
         for name in ("_exact_checks", "_numeric_checks", "_montecarlo_checks", "_spectral_checks"):
             monkeypatch.setattr(report, name, refuse)
         assert run(capsys, "verify", suite, *flags) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("suite", ["all", "spectral"])
+    def test_verify_refuses_small_grid_before_any_suite(self, capsys, monkeypatch, suite):
+        def refuse(*args):
+            raise AssertionError("a suite ran for a refused grid")
+
+        for name in ("_exact_checks", "_numeric_checks", "_montecarlo_checks", "_spectral_checks"):
+            monkeypatch.setattr(report, name, refuse)
+        for grid in (2, 3, 4):
+            assert run(capsys, "verify", suite, "--grid", str(grid)) == (
+                2, "", f"error: the spectral checks need a grid of at least 5, not {grid}\n"
+            )
+
+    def test_verify_spectral_answers_grid_5(self, capsys):
+        code, out, err = run(capsys, "verify", "spectral", "--grid", "5", "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["metadata"]["grid"] == 5
 
 
 class TestNoDenseMatrixForSpectrum:

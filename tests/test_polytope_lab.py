@@ -224,7 +224,7 @@ class TestJacobian:
             if all(u[i] + u[(i + 1) % n] < math.pi / 2 - margin for i in range(n)):
                 found += 1
                 formula = jacobian_formula(forward_map(u))
-                fd = jacobian_fd(u, 1e-6)
+                fd = jacobian_fd(u)
                 assert abs(fd - formula) / abs(formula) < 1e-5
 
 
@@ -247,7 +247,7 @@ class TestInverseMap:
         for n in (1, 2, 3, 5):
             for _ in range(20):
                 x = tuple(rng.uniform(0.02, 0.9) for _ in range(n))
-                u = inverse_map(x, 1e-13, 200)
+                u = inverse_map(x)
                 back = forward_map(u)
                 assert max(abs(a - b) for a, b in zip(back, x)) < 1e-10
 
@@ -269,8 +269,8 @@ class TestInverseMap:
         assert abs(results[0] - inverse_map(x)[0]) < 1e-12
 
     def test_slow_corner_raises(self):
-        with pytest.raises(RuntimeError):
-            inverse_map((0.9999,), 1e-13, 50)
+        with pytest.raises(RuntimeError, match="did not converge in 200 iterations"):
+            inverse_map((0.9999,))
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -510,6 +510,18 @@ class TestMonteCarlo:
             sum(polytope_lab._chunk_results(work, 1000 * CHUNK_SAMPLES))
         # chunks 0 and 1 plus at most one window submitted past chunk 1
         assert len(started) <= 2 * CHUNK_WINDOW + 2
+        assert threading.active_count() == before
+
+    def test_early_close_cancels_pending_chunks_and_joins_threads(self, monkeypatch):
+        monkeypatch.setattr(polytope_lab, "_worker_count", lambda: 2)
+        before = threading.active_count()
+        started = []
+        results = polytope_lab._chunk_results(
+            lambda index: started.append(index) or index, 1000 * CHUNK_SAMPLES
+        )
+        assert (next(results), next(results)) == (0, 1)
+        results.close()
+        assert len(started) <= CHUNK_WINDOW * 2
         assert threading.active_count() == before
 
     def test_no_threads_outlive_a_call(self):

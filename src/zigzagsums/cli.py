@@ -149,12 +149,12 @@ def _resolve(args: argparse.Namespace) -> dict:
     merged = dict(DEFAULTS)
     merged.update(_load_config())
     for key in DEFAULTS:
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     _require(merged["digits"] >= 0, f"digits must be nonnegative, not {merged['digits']}")
-    merged["quiet"] = bool(getattr(args, "quiet", False))
-    merged["json"] = bool(getattr(args, "json", False))
+    merged["quiet"] = args.quiet
+    merged["json"] = args.json
     return merged
 
 

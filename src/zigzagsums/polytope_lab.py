@@ -19,9 +19,9 @@ with numpy.  A run of ``samples`` points is cut into chunks of
 block drawn coordinate-major as one (dim, rows) array, so the summand
 kernels run on contiguous coordinate rows.  The chunks run on a thread pool
 sized to the CPUs the process may use (numpy releases the interpreter lock
-while it draws and computes), submitted in windows of consecutive chunk
-indices, and their sums and squared deviations are folded in chunk order,
-so the estimates do not depend on the thread count.
+while it draws and computes), all handed to one ``Executor.map``, and their
+sums and squared deviations are folded in chunk order, so the estimates do
+not depend on the thread count.
 Fixed-seed estimates have changed twice: once when SFC64 and the
 coordinate-major blocks replaced a point-major Philox stream, which cut the
 Monte Carlo CPU time to about a third, and once when the volume estimate
@@ -37,7 +37,7 @@ import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,11 +48,6 @@ from .special_numbers import zigzag
 # generator seeded by (seed, i), so estimates are reproducible under any
 # scheduling.  Part of the stream definition: changing it changes estimates.
 CHUNK_SAMPLES = 65536
-
-# Chunks per pool worker in one submission window: the pool gets the next
-# window only once the caller has read every result of the last, so this
-# keeps every worker busy for most of a window and bounds memory.
-CHUNK_WINDOW = 4
 
 # Points a worker draws and evaluates at a time (1 MB of coordinates at
 # n = 8).  Part of the stream definition, like CHUNK_SAMPLES: each block is
@@ -190,23 +185,13 @@ class PolytopeSpec:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Vectorized open-region membership for an (m, n) array of points.
 
-        Boundary points count as outside.  The test runs one coordinate at a
-        time on ``points.T``, so it is fastest when the points are stored
-        coordinate-major, as the transpose of a C-ordered (n, m) array.
+        Boundary points count as outside.
         """
-        u = np.asarray(points, dtype=float).T
-        inside = u[0] > 0.0
-        for row in u[1:]:
-            inside &= row > 0.0
-        pair = np.empty(u.shape[1])
-        below = np.empty(u.shape[1], dtype=bool)
-        bound = self.bound
-        last = self.n if self.kind == "cyclic" else self.n - 1
-        for i in range(last):
-            np.add(u[i], u[(i + 1) % self.n], out=pair)
-            np.less(pair, bound, out=below)
-            inside &= below
-        return inside
+        u = np.asarray(points, dtype=float)
+        pairs = u + np.roll(u, -1, axis=1)
+        if self.kind == "chain":
+            pairs = pairs[:, :-1]
+        return (u > 0.0).all(axis=1) & (pairs < self.bound).all(axis=1)
 
 
 def volume_formula(spec: PolytopeSpec) -> PiMultiple:
@@ -245,26 +230,6 @@ def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _chunk_results(work: Callable[[int], object], samples: int) -> Iterator:
-    """``work(index)`` for every chunk index of a run, evaluated on a thread pool.
-
-    Results are yielded in chunk-index order, so a caller folding them in
-    that order gets the same bits for any number of workers.  Chunks are
-    submitted in windows of ``CHUNK_WINDOW`` times the worker count, the
-    next once the last is read, so memory does not grow with ``samples``;
-    ``Executor.map`` cancels the rest of a window when a result raises or
-    the caller stops reading.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = -(-samples // CHUNK_SAMPLES)
-    workers = min(_worker_count(), chunks)
-    window = CHUNK_WINDOW * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, chunks, window):
-            yield from pool.map(work, range(start, min(start + window, chunks)))
 
 
 def _check_run(samples: int, seed: int) -> None:
@@ -307,21 +272,28 @@ def _chunk_sums(
 def _mc_mean(summand: _Summand, dim: int, samples: int, seed: int) -> tuple[float, float]:
     """Mean of ``summand`` over a run of uniform points in (0,1)^dim, and its standard error.
 
-    The variance is folded from per-chunk squared deviations by Chan's
-    pairwise update, in chunk order, so a summand whose spread lies below
-    double resolution of its mean still reports its uncertainty.
+    One ``Executor.map`` runs every chunk and yields the results in chunk
+    order; it cancels the chunks not yet started if one raises or the loop
+    is interrupted, and the ``with`` block joins the workers.  The
+    variance is folded from per-chunk squared deviations by Chan's pairwise
+    update, in chunk order, so a summand whose spread lies below double
+    resolution of its mean still reports its uncertainty.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    chunks = -(-samples // CHUNK_SAMPLES)
+    work = partial(_chunk_sums, summand, dim, seed, samples)
     count = 0
     total = 0.0
     deviations = 0.0
-    sums = _chunk_results(partial(_chunk_sums, summand, dim, seed, samples), samples)
-    for size, chunk_sum, chunk_deviations in sums:
-        if count:
-            delta = chunk_sum / size - total / count
-            deviations += delta * delta * (count * size / (count + size))
-        deviations += chunk_deviations
-        total += chunk_sum
-        count += size
+    with ThreadPoolExecutor(max_workers=min(_worker_count(), chunks)) as pool:
+        for size, chunk_sum, chunk_deviations in pool.map(work, range(chunks)):
+            if count:
+                delta = chunk_sum / size - total / count
+                deviations += delta * delta * (count * size / (count + size))
+            deviations += chunk_deviations
+            total += chunk_sum
+            count += size
     return total / samples, math.sqrt(deviations / samples / samples)
 
 

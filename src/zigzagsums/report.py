@@ -151,27 +151,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class _Recorder:
-    """Accumulates checks; ids must be unique."""
-
-    def __init__(self) -> None:
-        self.checks: list[CheckResult] = []
-        self._seen: set[str] = set()
+class _Recorder(list):
+    """A report's list of checks, each added under an id no earlier check has."""
 
     def add(self, check_id: str, description: str, ok: bool, expected, actual, tolerance):
-        if check_id in self._seen:
+        if any(check.id == check_id for check in self):
             raise ValueError(f"duplicate check id {check_id}")
-        self._seen.add(check_id)
-        self.checks.append(
-            CheckResult(
-                id=check_id,
-                description=description,
-                status="pass" if ok else "fail",
-                expected=str(expected),
-                actual=str(actual),
-                tolerance=str(tolerance),
-            )
-        )
+        status = "pass" if ok else "fail"
+        self.append(CheckResult(check_id, description, status, str(expected), str(actual), str(tolerance)))
 
     def exact(self, check_id: str, description: str, expected, actual) -> None:
         self.add(check_id, description, expected == actual, expected, actual, "exact")
@@ -310,28 +297,23 @@ def _montecarlo_cases():
                partial(mc_cube_integral, n), s_value(n))
 
 
-def _montecarlo_pass(rec: _Recorder, seed: int, samples: int, suffix: str) -> bool:
-    all_ok = True
+def _montecarlo_pass(seed: int, samples: int, suffix: str) -> _Recorder:
+    rec = _Recorder()
     for name, what, estimator, exact in _montecarlo_cases():
         estimate = estimator(samples, seed)
-        exact_value = exact.to_float()
-        tol = MC_SIGMAS * estimate.std_error
-        ok = abs(estimate.mean - exact_value) <= tol
-        all_ok &= ok
-        rec.add(f"montecarlo.{name}{suffix}", f"{what} at {MC_SIGMAS} standard errors",
-                ok, exact_value, estimate.mean, tol)
-    return all_ok
+        rec.close(f"montecarlo.{name}{suffix}", f"{what} at {MC_SIGMAS} standard errors",
+                  exact.to_float(), estimate.mean, MC_SIGMAS * estimate.std_error)
+    return rec
 
 
 def _montecarlo_checks(rec: _Recorder, seed: int, samples: int) -> bool:
     """Runs the Monte Carlo checks; retries once on seed+1 if any miss. Returns retry flag."""
-    probe = _Recorder()
-    if _montecarlo_pass(probe, seed, samples, ""):
-        rec.checks.extend(probe.checks)
-        rec._seen.update(probe._seen)
-        return False
-    _montecarlo_pass(rec, seed + 1, samples, ".retry")
-    return True
+    checks = _montecarlo_pass(seed, samples, "")
+    retried = any(check.status == "fail" for check in checks)
+    if retried:
+        checks = _montecarlo_pass(seed + 1, samples, ".retry")
+    rec.extend(checks)
+    return retried
 
 
 def _montecarlo_false_fail() -> dict:
@@ -411,4 +393,4 @@ def run_suite(
         "version": __version__,
         "notes": list(CORRECTION_NOTES),
     }
-    return VerificationReport(checks=rec.checks, metadata=metadata)
+    return VerificationReport(checks=list(rec), metadata=metadata)

@@ -612,7 +612,7 @@ class TestNegativeOptions:
         def refuse(*args):
             raise AssertionError("a chunk was submitted for a refused seed")
 
-        monkeypatch.setattr(polytope_lab, "_chunk_results", refuse)
+        monkeypatch.setattr(polytope_lab, "_chunk_sums", refuse)
         argv = ["volume", "cyclic", "3", method, "--samples", "10000", "--seed", "-1"]
         assert run(capsys, *argv) == (2, "", "error: seed must be nonnegative, not -1\n")
 

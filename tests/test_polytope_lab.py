@@ -12,7 +12,6 @@ from zigzagsums.euler_sums import s_coeff
 from zigzagsums.polytope_lab import (
     BLOCK_ROWS,
     CHUNK_SAMPLES,
-    CHUNK_WINDOW,
     McEstimate,
     PartialOrder,
     PolytopeSpec,
@@ -469,8 +468,8 @@ class TestMonteCarlo:
         assert estimate.std_error > 0.0
 
     def test_estimates_independent_of_worker_count(self, monkeypatch):
-        # more chunks than one submission window even at 4 workers
-        samples = (4 * CHUNK_WINDOW + 5) * CHUNK_SAMPLES + 99
+        # 22 chunks, the last one partial: several rounds of work for 4 workers
+        samples = 21 * CHUNK_SAMPLES + 99
         results = []
         for workers in (1, 4):
             monkeypatch.setattr(polytope_lab, "_worker_count", lambda workers=workers: workers)
@@ -482,46 +481,23 @@ class TestMonteCarlo:
             ))
         assert results[0] == results[1]
 
-    def test_submissions_stay_within_window(self, monkeypatch):
-        monkeypatch.setattr(polytope_lab, "_worker_count", lambda: 2)
-        window = CHUNK_WINDOW * 2
-        started = []
-        chunks = 3 * window + 1
-        results = polytope_lab._chunk_results(
-            lambda index: started.append(index) or index, chunks * CHUNK_SAMPLES
-        )
-        for expected, index in enumerate(results):
-            assert index == expected
-            assert max(started) <= index + window
-        assert sorted(started) == list(range(chunks))
-
     def test_failure_cancels_pending_chunks_and_joins_threads(self, monkeypatch):
         monkeypatch.setattr(polytope_lab, "_worker_count", lambda: 2)
-        before = threading.active_count()
-        started = []
+        real = polytope_lab._chunk_sums
 
-        def work(index):
-            started.append(index)
+        def chunk_sums(summand, dim, seed, samples, index):
             if index == 1:
                 raise RuntimeError("chunk failed")
-            return index
+            return real(summand, dim, seed, samples, index)
 
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            sum(polytope_lab._chunk_results(work, 1000 * CHUNK_SAMPLES))
-        # chunks 0 and 1 plus at most one window submitted past chunk 1
-        assert len(started) <= 2 * CHUNK_WINDOW + 2
-        assert threading.active_count() == before
-
-    def test_early_close_cancels_pending_chunks_and_joins_threads(self, monkeypatch):
-        monkeypatch.setattr(polytope_lab, "_worker_count", lambda: 2)
+        monkeypatch.setattr(polytope_lab, "_chunk_sums", chunk_sums)
+        samples = 1000 * CHUNK_SAMPLES
         before = threading.active_count()
-        started = []
-        results = polytope_lab._chunk_results(
-            lambda index: started.append(index) or index, 1000 * CHUNK_SAMPLES
-        )
-        assert (next(results), next(results)) == (0, 1)
-        results.close()
-        assert len(started) <= CHUNK_WINDOW * 2
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            mc_volume(PolytopeSpec("cyclic", 3, "unit"), samples, seed=0)
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            mc_cube_integral(3, samples, seed=0)
         assert threading.active_count() == before
 
     def test_no_threads_outlive_a_call(self):
@@ -616,7 +592,7 @@ class TestMonteCarlo:
         def refuse(*args):
             raise AssertionError("a chunk was submitted for a refused seed")
 
-        monkeypatch.setattr(polytope_lab, "_chunk_results", refuse)
+        monkeypatch.setattr(polytope_lab, "_chunk_sums", refuse)
         with pytest.raises(ValueError, match="^seed must be nonnegative, not -1$"):
             mc_volume(PolytopeSpec("cyclic", 2), 10**4, seed=-1)
         with pytest.raises(ValueError, match="^seed must be nonnegative, not -1$"):

@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from zigzagsums import cli, report as report_module
+from zigzagsums.polytope_lab import volume_formula
 from zigzagsums.report import (
     CheckResult,
     SUITES,
     VerificationReport,
+    _Recorder,
     run_suite,
 )
 
@@ -89,6 +93,44 @@ class TestMonteCarloSuite:
         per_pass = 7 * math.erfc(4 / math.sqrt(2))
         assert metadata["montecarlo_false_fail"]["per_pass"] == pytest.approx(per_pass, rel=0.01)
         assert metadata["montecarlo_false_fail"]["report"] == pytest.approx(per_pass**2, rel=0.02)
+
+    @staticmethod
+    def _miss_volumes(monkeypatch, missed_seeds):
+        # every volume estimate at a missed seed lands 10 standard errors off
+        real = report_module.mc_volume
+
+        def estimator(spec, samples, seed):
+            estimate = real(spec, samples, seed)
+            if seed not in missed_seeds:
+                return estimate
+            mean = volume_formula(spec).to_float() + 10 * estimate.std_error
+            return dataclasses.replace(estimate, mean=mean)
+
+        monkeypatch.setattr(report_module, "mc_volume", estimator)
+
+    def test_miss_at_seed_retries_on_next_seed(self, monkeypatch):
+        samples = 50000
+        seed_one = run_suite("montecarlo", seed=1, samples=samples).checks
+        self._miss_volumes(monkeypatch, {0})
+        report = run_suite("montecarlo", seed=0, samples=samples)
+        assert report.metadata["montecarlo_retried"] is True
+        assert len(report.checks) == 7
+        assert all(c.id.endswith(".retry") for c in report.checks)
+        assert report.checks == [
+            dataclasses.replace(c, id=c.id + ".retry") for c in seed_one
+        ]
+        assert report.all_passed()
+
+    def test_miss_at_both_seeds_fails_verify(self, capsys, monkeypatch):
+        self._miss_volumes(monkeypatch, {0, 1})
+        assert cli.main(["verify", "montecarlo", "--samples", "50000", "--quiet"]) == 1
+        assert capsys.readouterr().out == "2 passed, 5 failed\n"
+
+    def test_repeated_check_id_refused(self):
+        rec = _Recorder()
+        rec.exact("a", "first", 1, 1)
+        with pytest.raises(ValueError, match="^duplicate check id a$"):
+            rec.close("a", "second", 1.0, 1.0, 0.0)
 
 
 class TestSpectralSuite:

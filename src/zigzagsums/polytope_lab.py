@@ -27,6 +27,10 @@ coordinate-major blocks replaced a point-major Philox stream, which cut the
 Monte Carlo CPU time to about a third, and once when the volume estimate
 stopped drawing the even coordinates and the n = 2 cube integrand was
 substituted to a bounded one (see ``mc_volume`` and ``mc_cube_integral``).
+
+numpy is imported inside the functions that build arrays (``contains``,
+the Monte Carlo chunks and summands, ``jacobian_fd`` and
+``arctangent_check``), so the exact routes run without loading it.
 """
 
 from __future__ import annotations
@@ -37,12 +41,15 @@ import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .euler_sums import PiMultiple, s_coeff
 from .special_numbers import zigzag
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    _Summand = Callable[[np.ndarray, np.ndarray], None]
 
 # Fixed Monte Carlo chunk size; chunk i of a run draws from an SFC64
 # generator seeded by (seed, i), so estimates are reproducible under any
@@ -187,6 +194,8 @@ class PolytopeSpec:
 
         Boundary points count as outside.
         """
+        import numpy as np
+
         u = np.asarray(points, dtype=float)
         pairs = u + np.roll(u, -1, axis=1)
         if self.kind == "chain":
@@ -222,6 +231,8 @@ class McEstimate:
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     """The generator chunk ``index`` of a run seeded ``seed`` draws from."""
+    import numpy as np
+
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, index))))
 
 
@@ -240,9 +251,6 @@ def _check_run(samples: int, seed: int) -> None:
         raise ValueError(f"seed must be nonnegative, not {seed}")
 
 
-_Summand = Callable[[np.ndarray, np.ndarray], None]
-
-
 def _chunk_sums(
     summand: _Summand, dim: int, seed: int, samples: int, index: int
 ) -> tuple[int, float, float]:
@@ -253,6 +261,8 @@ def _chunk_sums(
     chunk's stream.  ``summand(block, out)`` writes the summand at each
     column of a block into ``out`` and may overwrite the block.
     """
+    import numpy as np
+
     size = min(CHUNK_SAMPLES, samples - index * CHUNK_SAMPLES)
     rng = _chunk_rng(seed, index)
     buffer = np.empty(dim * min(BLOCK_ROWS, size))
@@ -281,6 +291,10 @@ def _mc_mean(summand: _Summand, dim: int, samples: int, seed: int) -> tuple[floa
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    # The workers' chunks import numpy; a first import finished here, before
+    # the pool starts, leaves them nothing to race for.
+    import numpy  # noqa: F401
+
     chunks = -(-samples // CHUNK_SAMPLES)
     work = partial(_chunk_sums, summand, dim, seed, samples)
     count = 0
@@ -308,6 +322,8 @@ def _volume_summand(spec: PolytopeSpec, odd: np.ndarray, out: np.ndarray) -> Non
     the same double: 1 - x is exact for the multiples of 2^-53 that
     ``Generator.random`` draws.
     """
+    import numpy as np
+
     n = spec.n
     if n == 1:
         out.fill(1.0)
@@ -356,6 +372,8 @@ def mc_volume(spec: PolytopeSpec, samples: int, seed: int) -> McEstimate:
 
 def _cube_summand(n: int, x: np.ndarray, out: np.ndarray) -> None:
     """1 / (1 -+ (x_1...x_n)^2) at each column of ``x``, multiplied left to right."""
+    import numpy as np
+
     np.multiply(x[0], x[1], out=out)
     for row in x[2:]:
         out *= row
@@ -375,6 +393,8 @@ def _cube_summand_2(s: np.ndarray, out: np.ndarray) -> None:
     where 1 / (1 - x_1^2 x_2^2) has infinite variance; only s_1 = s_2 = 0,
     a draw of chance 2^-106, would give 0/0.  ``s`` is overwritten.
     """
+    import numpy as np
+
     s1, s2 = s
     np.multiply(s1, s2, out=out)
     s1 *= s1
@@ -422,13 +442,19 @@ def forward_map(u: Sequence[float]) -> tuple[float, ...]:
 
 
 def jacobian_formula(x: Sequence[float]) -> float:
-    """Jacobian determinant at image point x: 1 - (prod x)^2 for even n, 1 + for odd."""
+    """Jacobian determinant at image point x: 1 - (prod x)^2 for even n, 1 + for odd.
+
+    Exact on ``Fraction`` coordinates, which give a ``Fraction``; a float
+    point gives the same double as ``1.0 -+ t * t``.
+    """
     t = math.prod(x)
-    return 1.0 - t * t if len(x) % 2 == 0 else 1.0 + t * t
+    return 1 - t * t if len(x) % 2 == 0 else 1 + t * t
 
 
 def jacobian_fd(u: Sequence[float]) -> float:
     """Central-difference Jacobian determinant of the forward map at u, step ``FD_STEP``."""
+    import numpy as np
+
     n = len(u)
     jac = np.empty((n, n))
     step = 2.0 * FD_STEP
@@ -493,6 +519,8 @@ def arctangent_check() -> tuple[PiMultiple, float]:
     Returns the exact pi multiple and a 64-node Gauss-Legendre evaluation of
     the integral of 1/(1+x^2) over (0,1); the two agree to well under 1e-10.
     """
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(64)
     xs = 0.5 * (nodes + 1.0)
     ws = 0.5 * weights

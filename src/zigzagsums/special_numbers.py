@@ -19,6 +19,9 @@ The integer sequences come from two independent directions:
 Euler numbers of even order are derived from the zigzag counts,
 E_2m = (-1)^m A(2m), and the cyclic counts from A0(2m) = m * A(2m-1).
 A permutation is a plain tuple of images (sigma(1), ..., sigma(n)).
+
+numpy is imported only inside the two functions that build the frontier
+and check its leaves, so the exact recurrences run without loading it.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # At n = 10 the brute-force frontier peaks at 79360 prefixes of length 9
 # and ends with 50521 checked leaves, about 7 MB of numpy buffers at most.
@@ -163,6 +167,8 @@ def _frontier_leaves(n: int) -> np.ndarray:
     dropped.  Each permutation appears at most once.  The int32 mask holds
     n <= 30.
     """
+    import numpy as np
+
     values = np.arange(1, n + 1, dtype=np.int8)
     bits = np.left_shift(1, values, dtype=np.int32)
     rows = values[:, None]
@@ -183,6 +189,8 @@ def _leaf_checks(leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sorted values are 1..n) whose differences alternate in sign, rising
     first; the second also needs even n >= 2 and last > first.
     """
+    import numpy as np
+
     n = leaves.shape[1]
     permutation = (np.sort(leaves, axis=1) == np.arange(1, n + 1)).all(axis=1)
     steps = np.diff(leaves.astype(np.int16), axis=1)

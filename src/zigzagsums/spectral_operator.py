@@ -21,6 +21,9 @@ Two complementary views are implemented:
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
 boundary (midpoints with i + j + 1 = N sum to pi/2 in exact arithmetic).
+
+numpy is imported inside the numeric functions that build arrays, so the
+exact view runs without loading it.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact_arith import PiPoly, VPiPoly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF_PI = math.pi / 2
 
@@ -59,6 +64,8 @@ def _check_grid(N: int) -> None:
 def grid_midpoints(N: int) -> np.ndarray:
     """Midpoints u_j = (j + 1/2) (pi/2) / N of an N-cell grid on (0, pi/2)."""
     _check_grid(N)
+    import numpy as np
+
     return (np.arange(N) + 0.5) * (HALF_PI / N)
 
 
@@ -70,6 +77,8 @@ def _kernel_entries(N: int) -> np.ndarray:
     sums of boundary cells (i + j + 1 = N) can round below pi/2.  Row i is
     filled on its first N - 1 - i cells.
     """
+    import numpy as np
+
     w = HALF_PI / N
     entries = np.zeros((N, N))
     for i in range(N - 1):
@@ -215,6 +224,8 @@ def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:
         raise ValueError("top must be at least 1")
     if top > matrix.N:
         raise ValueError("top cannot exceed the grid size")
+    import numpy as np
+
     N = matrix.N
     k = np.arange(1, min(top, N - 1) + 1)
     signs = np.where(k % 2 == 1, 1.0, -1.0)
@@ -259,6 +270,8 @@ def _square(x: np.ndarray, triangle: bool = False) -> np.ndarray:
     matrix is nonzero, are computed, each block's columns rounded up to a
     multiple of SQUARE_ROWS; the rest are left at 0.
     """
+    import numpy as np
+
     N = x.shape[0]
     if N % SQUARE_ALIGN or N < 2 * SQUARE_ROWS:
         return x @ x
@@ -320,6 +333,8 @@ def trace_power_nystrom(N: int, n: int) -> float:
     if n < 2:
         raise ValueError("the trace route requires n >= 2")
     _check_grid(N)
+    import numpy as np
+
     if n == 3:
         ma = _kernel_entries(N)
         mb = _square(ma, triangle=True)
@@ -341,6 +356,8 @@ def eigenfunction_residual(k: int, N: int) -> float:
     """
     if N < 100:
         raise ValueError("use N >= 100 for a meaningful residual")
+    import numpy as np
+
     m = 4 * k + 1
     v = grid_midpoints(N)
     widths = (HALF_PI - v) / N

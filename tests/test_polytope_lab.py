@@ -1,8 +1,13 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +217,21 @@ class TestJacobian:
         t = 0.4
         assert jacobian_formula((t,)) == pytest.approx(1 + t * t)
 
+    def test_formula_exact_on_fractions(self):
+        even = jacobian_formula((Fraction(1, 2), Fraction(2, 3)))
+        odd = jacobian_formula((Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)))
+        assert type(even) is Fraction and even == Fraction(8, 9)
+        assert type(odd) is Fraction and odd == Fraction(17, 16)
+
+    def test_formula_float_bits_unchanged(self):
+        rng = random.Random(5)
+        for n in range(1, 9):
+            for _ in range(200):
+                x = tuple(rng.random() for _ in range(n))
+                t = math.prod(x)
+                old = 1.0 - t * t if n % 2 == 0 else 1.0 + t * t
+                assert jacobian_formula(x).hex() == old.hex()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_finite_difference_matches(self, n):
         rng = random.Random(21)
@@ -420,6 +440,26 @@ class TestMonteCarlo:
     def test_deterministic(self):
         spec = PolytopeSpec("chain", 3, "unit")
         assert mc_volume(spec, 70000, seed=3) == mc_volume(spec, 70000, seed=3)
+
+    def test_first_call_of_a_fresh_process_matches(self):
+        # The run below makes the process's first numpy import; its estimate
+        # must equal a warm call's.
+        spec = PolytopeSpec("cyclic", 5, "unit")
+        samples = 3 * CHUNK_SAMPLES + 100
+        script = (
+            "import json, sys\n"
+            "from zigzagsums.polytope_lab import PolytopeSpec, mc_volume\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"estimate = mc_volume({spec!r}, {samples}, seed=9)\n"
+            "print(json.dumps(estimate.as_json_dict()))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(polytope_lab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, encoding="utf-8", timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == mc_volume(spec, samples, seed=9).as_json_dict()
 
     @pytest.mark.parametrize(
         "kind,n,scale",

@@ -26,6 +26,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 from typing import NamedTuple
 
 from .special_numbers import bernoulli, euler_number, zigzag
@@ -157,12 +159,22 @@ def s_numeric(n: int, K: int) -> SNumeric:
     Terms for k and -k are paired to curb cancellation and the pairs are
     accumulated with math.fsum.  The omitted |k| > K mass is bounded by
     2 * sum_{k>K} (4k-3)^(-n) <= (4K-3)^(1-n) / (2(n-1)).
+
+    The terms stream through C-level ``map`` iterators, with no list.  An
+    int raised to a negative int is a float power, the same libm ``pow`` as
+    ``(4k + 1.0) ** -n``, so every term is the double that expression gives.
+    numpy's vectorised power is not used: it differs from libm in the last
+    bit of some terms.
     """
     if n < 2:
         raise ValueError("direct summation requires n >= 2")
     if K < 1:
         raise ValueError("K must be positive")
-    pairs = [(4 * k + 1.0) ** -n + (1.0 - 4 * k) ** -n for k in range(1, K + 1)]
+    pairs = map(
+        add,
+        map(pow, range(5, 4 * K + 2, 4), repeat(-n)),  # 4k + 1 for k = 1..K
+        map(pow, range(-3, -4 * K, -4), repeat(-n)),  # 1 - 4k
+    )
     value = math.fsum(pairs) + 1.0
     tail_bound = (4 * K - 3.0) ** (1 - n) / (2 * (n - 1))
     return SNumeric(value, tail_bound)

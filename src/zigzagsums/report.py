@@ -74,9 +74,9 @@ from .spectral_operator import (
     fourier_coeff_const,
     inner_product_one,
     nystrom_matrix,
+    nystrom_traces,
     parseval_sum,
     sym_eigenvalues,
-    trace_power_nystrom,
 )
 
 SUITES = ("exact", "numeric", "montecarlo", "spectral", "all")
@@ -329,7 +329,7 @@ def _montecarlo_false_fail() -> dict:
 
 def _spectral_checks(rec: _Recorder, grid: int) -> None:
     # The closed-form spectrum reads only the grid size, so no dense matrix
-    # is assembled for it; each trace assembles its own.
+    # is assembled for it; the three traces share one kernel and one square.
     spectrum = sym_eigenvalues(nystrom_matrix(grid), grid)
     top = spectrum[:SPECTRAL_RANKS]
     for rank, approx in enumerate(top):
@@ -343,9 +343,9 @@ def _spectral_checks(rec: _Recorder, grid: int) -> None:
     )
     rec.exact("spectral.multiplicity", "top eigenvalues pairwise distinct beyond tolerance",
               True, gaps_ok)
-    for n in (2, 3, 4):
+    powers = (2, 3, 4)
+    for n, trace in zip(powers, nystrom_traces(grid, powers)):
         exact_value = s_value(n).to_float()
-        trace = trace_power_nystrom(grid, n)
         rec.close(f"spectral.trace.{n}",
                   f"trace of the {n}-th matrix power within 1% of S({n}) at N={grid}",
                   exact_value, trace, 0.01 * exact_value)

@@ -12,18 +12,21 @@ Two complementary views are implemented:
   * numeric: a midpoint-rule Nystrom matrix whose spectrum approximates the
     true eigenvalues 1/(4k+1) (eigenfunctions cos((4k+1)u)) and whose matrix
     powers approximate operator traces.  The spectrum of that matrix has a
-    closed form (see ``sym_eigenvalues``), evaluated in O(top) operations;
-    the test suite checks it against LAPACK's dense symmetric solver.  The
-    traces come from matrix powers, independently of the closed form; each
-    square in them is computed by row blocks over its upper triangle and
-    mirrored, bit for bit equal to the full product (see ``_square``).
+    closed form (see ``sym_eigenvalues``), evaluated in O(top) operations
+    with ``math.sin``; the test suite checks it against LAPACK's dense
+    symmetric solver.  The traces come from matrix powers, independently of
+    the closed form; each square in them is computed by row blocks over its
+    upper triangle and mirrored, bit for bit equal to the full product (see
+    ``_square``).  ``nystrom_traces`` takes the traces of M^2, M^3 and M^4
+    from one kernel and one square M @ M, with the bits of three separate
+    ``trace_power_nystrom`` calls.
 
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
 boundary (midpoints with i + j + 1 = N sum to pi/2 in exact arithmetic).
 
 numpy is imported inside the numeric functions that build arrays, so the
-exact view runs without loading it.
+exact view and the closed-form spectrum run without loading it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import truediv
 from typing import TYPE_CHECKING
 
 from .exact_arith import PiPoly, VPiPoly
@@ -181,15 +186,23 @@ def parseval_sum(n: int, K: int) -> float:
 
     Converges to (4/pi) S(n+2), the inner product of 1 with its (n+1)-th
     operator iterate, as K grows.
+
+    The terms stream through C-level ``map`` iterators, with no list: c_k
+    is divided as in ``fourier_coeff_const`` and squared by Python's float
+    ``pow``, and (4k+1)^n is the same libm ``pow`` as ``float(4k+1) ** n``,
+    so every term is the double of the per-term expression.  numpy's
+    vectorised power is not used: it differs from libm in the last bit of
+    some terms.  For n = 0 the division by (4k+1)^0 = 1.0, which is exact,
+    is skipped.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    terms = [
-        fourier_coeff_const(k) ** 2 / float(4 * k + 1) ** n
-        for k in range(-K, K + 1)
-    ]
+    bases = range(1 - 4 * K, 4 * K + 2, 4)  # 4k + 1 for k = -K..K
+    terms = map(pow, map(truediv, repeat(4.0 / math.pi), bases), repeat(2))
+    if n:
+        terms = map(truediv, terms, map(pow, bases, repeat(float(n))))
     return (math.pi / 4) * math.fsum(terms)
 
 
@@ -201,7 +214,7 @@ def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:
         lambda_k = (pi/2N) (-1)^(k+1) / (2 sin((2k-1) pi / (2(2N-1)))),  k = 1..N-1,
 
     followed by 0; they approximate 1, -1/3, 1/5, -1/7, 1/9, ...  Only
-    ``matrix.N`` is read.
+    ``matrix.N`` is read, and no array is built.
 
     Derivation: the last row and column of the matrix are empty (i + j + 1 < N
     fails for i = N-1), which gives the eigenvalue 0.  With m = N-1, the
@@ -224,14 +237,14 @@ def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:
         raise ValueError("top must be at least 1")
     if top > matrix.N:
         raise ValueError("top cannot exceed the grid size")
-    import numpy as np
-
     N = matrix.N
-    k = np.arange(1, min(top, N - 1) + 1)
-    signs = np.where(k % 2 == 1, 1.0, -1.0)
-    half_angles = (2 * k - 1) * (math.pi / (2 * (2 * N - 1)))
-    eigenvalues = (HALF_PI / N) * signs / (2.0 * np.sin(half_angles))
-    return eigenvalues.tolist() + [0.0] * (top - len(k))
+    scale = HALF_PI / N
+    step = math.pi / (2 * (2 * N - 1))
+    eigenvalues = [
+        (scale if k % 2 else -scale) / (2.0 * math.sin((2 * k - 1) * step))
+        for k in range(1, min(top, N - 1) + 1)
+    ]
+    return eigenvalues + [0.0] * (top - len(eigenvalues))
 
 
 def _rank_mode(rank: int) -> int:
@@ -313,6 +326,44 @@ def _power_pair(m: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     return powers[a], powers[b]
 
 
+def _traces(N: int, powers) -> list[float]:
+    """trace(M^n) for each n in ``powers``, bit for bit as matrix_power gives it.
+
+    With a = n // 2 and b = n - a, trace(M^n) is the sum of the elementwise
+    product of M^a and M^b, both symmetric.  n = 2, 3 and 4 share one kernel
+    and one square M @ M from ``_square``: trace(M^3) reads only the cells
+    where M is nonzero, which the triangle square computes with the same
+    bits as the full one, so the full square is formed only when 4 is among
+    the powers.  Each n >= 5 takes its own ``_power_pair`` chain on a kernel
+    assembled for it.  Each product is a temporary or is written over an
+    array nothing later reads, so at most two N x N arrays are live at once.
+    """
+    if any(n < 2 for n in powers):
+        raise ValueError("the trace route requires n >= 2")
+    _check_grid(N)
+    import numpy as np
+
+    traces = {}
+    m = _kernel_entries(N)
+    if 2 in powers:
+        traces[2] = float(np.sum(m * m))
+    if 3 in powers or 4 in powers:
+        square = _square(m, triangle=4 not in powers)
+        if 3 in powers:
+            traces[3] = float(np.sum(np.multiply(square, m, out=m)))
+        if 4 in powers:
+            traces[4] = float(np.sum(np.multiply(square, square, out=square)))
+        del square
+    del m  # a chain below must hold the only reference to its kernel
+    for n in powers:
+        if n not in traces:
+            ma, mb = _power_pair(_kernel_entries(N), n // 2, n - n // 2)
+            # an elementwise square may read and write one array
+            traces[n] = float(np.sum(np.multiply(mb, ma, out=mb)))
+            del ma, mb
+    return [traces[n] for n in powers]
+
+
 def trace_power_nystrom(N: int, n: int) -> float:
     """Trace of the n-th power of the Nystrom matrix; approximates S(n).
 
@@ -330,20 +381,16 @@ def trace_power_nystrom(N: int, n: int) -> float:
     against a matrix_power oracle, at grids whose size does and does not
     line up with the row blocks.
     """
-    if n < 2:
-        raise ValueError("the trace route requires n >= 2")
-    _check_grid(N)
-    import numpy as np
+    return _traces(N, (n,))[0]
 
-    if n == 3:
-        ma = _kernel_entries(N)
-        mb = _square(ma, triangle=True)
-    else:
-        ma, mb = _power_pair(_kernel_entries(N), n // 2, n - n // 2)
-    # The product goes into mb: an elementwise square may read and write one
-    # array, and otherwise mb is a power nothing else holds.
-    np.multiply(mb, ma, out=mb)
-    return float(np.sum(mb))
+
+def nystrom_traces(N: int, powers) -> list[float]:
+    """``[trace_power_nystrom(N, n) for n in powers]``, bit for bit, sharing work.
+
+    The traces for n = 2, 3 and 4 come from one kernel and one square, not
+    three kernels and two squares (see ``_traces``).
+    """
+    return _traces(N, tuple(powers))
 
 
 def eigenfunction_residual(k: int, N: int) -> float:

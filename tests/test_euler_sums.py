@@ -121,6 +121,21 @@ class TestSNumeric:
         with pytest.raises(ValueError):
             s_numeric(3, 0)
 
+    @staticmethod
+    def _per_term_sum(n, K):
+        """Oracle: the paired terms as a literal per-term list, then math.fsum."""
+        pairs = [(4 * k + 1.0) ** -n + (1.0 - 4 * k) ** -n for k in range(1, K + 1)]
+        return math.fsum(pairs) + 1.0
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 10, 1000, 10**5])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_bit_identical_to_per_term_sum(self, n, K):
+        assert s_numeric(n, K).value.hex() == self._per_term_sum(n, K).hex()
+
+    @pytest.mark.parametrize("n", [50, 300, 1000, 2000])
+    def test_bit_identical_where_terms_underflow(self, n):
+        assert s_numeric(n, 1000).value.hex() == self._per_term_sum(n, 1000).hex()
+
 
 class TestGEval:
     def test_at_zero(self):

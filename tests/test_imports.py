@@ -1,4 +1,4 @@
-"""What a fresh interpreter loads: the exact routes start without numpy."""
+"""What a fresh interpreter loads: the exact routes and the spectrum start without numpy."""
 
 import json
 import os
@@ -8,8 +8,9 @@ from pathlib import Path
 
 from zigzagsums import cli
 
-# Commands whose answers are exact integer, Fraction or pi-multiple work.
-EXACT_COMMANDS = [
+# Commands that build no array: exact integer, Fraction or pi-multiple work,
+# and the closed-form spectrum.
+NO_NUMPY_COMMANDS = [
     ["tables"],
     ["sums", "5"],
     ["zigzag", "10", "--cyclic"],
@@ -19,6 +20,7 @@ EXACT_COMMANDS = [
     ["g-eval", "0.5"],
     ["volume", "cyclic", "6", "exact"],
     ["volume", "chain", "7", "extensions"],
+    ["spectrum", "--grid", "100", "--top", "3"],
 ]
 
 # The modules benchmark/spans.py reads from sys.modules when it traces.
@@ -53,14 +55,14 @@ def _fresh(commands):
     return json.loads(proc.stdout)
 
 
-def test_exact_commands_do_not_load_numpy():
-    spectrum = ["spectrum", "--grid", "100", "--top", "3"]
-    loaded = _fresh([*EXACT_COMMANDS, spectrum])
+def test_commands_without_arrays_do_not_load_numpy():
+    trace = ["volume", "cyclic", "2", "spectral", "--grid", "50"]
+    loaded = _fresh([*NO_NUMPY_COMMANDS, trace])
     assert loaded.pop("import") is False
-    for argv in EXACT_COMMANDS:
+    for argv in NO_NUMPY_COMMANDS:
         assert loaded[" ".join(argv)] == [0, False], argv
-    # the check can see numpy: the spectrum builds an array
-    assert loaded[" ".join(spectrum)] == [0, True]
+    # the check can see numpy: the trace route builds an array
+    assert loaded[" ".join(trace)] == [0, True]
 
 
 def test_import_loads_every_traced_module():

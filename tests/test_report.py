@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from zigzagsums import cli, report as report_module
+from zigzagsums import cli, report as report_module, spectral_operator
 from zigzagsums.polytope_lab import volume_formula
 from zigzagsums.report import (
     CheckResult,
@@ -78,6 +79,17 @@ class TestSerialization:
                 "tolerance",
             }
 
+    def test_exact_and_numeric_checks_match_benchmark_golden(self):
+        # The spectral checks are left out: their bits depend on the BLAS
+        # kernel and thread count.  The Monte Carlo checks depend on the seed.
+        golden = Path(__file__).resolve().parents[1] / "benchmark" / "verify_golden.json"
+        wanted = [
+            check for check in json.loads(golden.read_text(encoding="utf-8"))
+            if check["id"].startswith(("exact.", "numeric."))
+        ]
+        got = [dataclasses.asdict(c) for suite in ("exact", "numeric") for c in run_suite(suite).checks]
+        assert got == wanted
+
 
 class TestMonteCarloSuite:
     def test_small_run_passes_without_retry(self):
@@ -140,3 +152,15 @@ class TestSpectralSuite:
         ids = {c.id for c in report.checks}
         assert "spectral.multiplicity" in ids
         assert "spectral.spectral_sum.3" in ids
+
+    def test_traces_share_one_square(self, monkeypatch):
+        real = spectral_operator._square
+        calls = []
+
+        def counting(x, triangle=False):
+            calls.append(triangle)
+            return real(x, triangle)
+
+        monkeypatch.setattr(spectral_operator, "_square", counting)
+        assert run_suite("spectral").all_passed()
+        assert calls == [False]

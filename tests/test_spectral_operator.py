@@ -16,6 +16,7 @@ from zigzagsums.spectral_operator import (
     grid_midpoints,
     inner_product_one,
     nystrom_matrix,
+    nystrom_traces,
     parseval_sum,
     sym_eigenvalues,
     t_power_one,
@@ -35,6 +36,12 @@ def _trace_oracle(N, n):
     ma = np.linalg.matrix_power(m, a)
     mb = ma if n - a == a else np.linalg.matrix_power(m, n - a)
     return float(np.sum(ma * mb))
+
+
+def _parseval_oracle(n, K):
+    """Oracle: the Parseval terms as a literal per-term list, then math.fsum."""
+    terms = [fourier_coeff_const(k) ** 2 / float(4 * k + 1) ** n for k in range(-K, K + 1)]
+    return (math.pi / 4) * math.fsum(terms)
 
 
 def _residual_oracle(k, N):
@@ -141,6 +148,11 @@ class TestFourier:
 
     def test_parseval_single_term(self):
         assert parseval_sum(5, 0) == pytest.approx(4 / math.pi, abs=1e-15)
+
+    @pytest.mark.parametrize("K", [0, 1, 5, 10**4, 10**5])
+    @pytest.mark.parametrize("n", range(6))
+    def test_parseval_bit_identical_to_per_term_sum(self, n, K):
+        assert parseval_sum(n, K).hex() == _parseval_oracle(n, K).hex()
 
     def test_parseval_converges_to_inner_product(self):
         for n in (2, 3):
@@ -305,6 +317,20 @@ class TestTraces:
         powers = {100: range(2, 13), 1032: range(2, 9), 2000: (2, 3, 4)}.get(N, range(2, 7))
         for n in powers:
             assert trace_power_nystrom(N, n) == _trace_oracle(N, n)
+
+    @pytest.mark.parametrize("N", [5, 100, 511, 512, 654, 1007, 2000])
+    def test_shared_traces_equal_separate_traces(self, N):
+        # 512 and 2000 take the blocked square, the other grids the full product
+        traces = nystrom_traces(N, (2, 3, 4))
+        assert traces == [trace_power_nystrom(N, n) for n in (2, 3, 4)]
+        assert traces == [_trace_oracle(N, n) for n in (2, 3, 4)]
+
+    def test_shared_traces_in_any_order_and_with_chains(self):
+        powers = (6, 4, 2, 5, 3, 2)
+        assert nystrom_traces(512, powers) == [trace_power_nystrom(512, n) for n in powers]
+        assert nystrom_traces(100, ()) == []
+        with pytest.raises(ValueError):
+            nystrom_traces(100, (2, 1))
 
     @pytest.mark.parametrize("N", [512, 520, 777, 1000, 1032, 2000])
     def test_blocked_square_equals_full_product(self, N):

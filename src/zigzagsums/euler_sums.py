@@ -23,7 +23,6 @@ test suite checks before anything else uses them.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -33,8 +32,9 @@ from typing import NamedTuple
 from .special_numbers import bernoulli, euler_number, zigzag
 
 
-# pi^512 is about 1e254, so a mantissa below 1 times it stays finite.
-_PI_POWER_STEP = 512
+# pi^620 is about 1.7e308, the largest power of pi that is a finite float,
+# so a mantissa below 1 times it stays finite.
+_PI_POWER_STEP = 620
 
 
 def _frexp_fraction(x: Fraction) -> tuple[float, int]:
@@ -77,16 +77,15 @@ class PiMultiple:
     def to_float(self) -> float:
         """coeff * pi^power in double precision, also where pi^power alone overflows.
 
-        When float(coeff) is a normal float and pi^power is finite this is
-        the plain product; otherwise both factors are split into mantissa
-        and binary exponent, so neither overflows nor goes subnormal.
+        Both factors are split into mantissa and binary exponent, so neither
+        overflows nor goes subnormal, and the mantissas' product is scaled
+        by the summed exponent.  While float(coeff) and the result are
+        normal floats and power <= 620, this is the plain product
+        float(coeff) * math.pi**power bit for bit: each factor's mantissa is
+        the correctly rounded one, the product is rounded once, and scaling
+        by a power of 2 is exact.  A result beyond the float range raises
+        OverflowError.
         """
-        try:
-            coeff, pi_power = float(self.coeff), math.pi**self.power
-        except OverflowError:
-            coeff = 0.0
-        if abs(coeff) >= sys.float_info.min:
-            return coeff * pi_power
         coeff_m, coeff_e = _frexp_fraction(self.coeff)
         pi_m, pi_e = _frexp_pi_power(self.power)
         return math.ldexp(coeff_m * pi_m, coeff_e + pi_e)

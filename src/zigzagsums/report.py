@@ -343,8 +343,7 @@ def _spectral_checks(rec: _Recorder, grid: int) -> None:
     )
     rec.exact("spectral.multiplicity", "top eigenvalues pairwise distinct beyond tolerance",
               True, gaps_ok)
-    powers = (2, 3, 4)
-    for n, trace in zip(powers, nystrom_traces(grid, powers)):
+    for n, trace in zip((2, 3, 4), nystrom_traces(grid)):
         exact_value = s_value(n).to_float()
         rec.close(f"spectral.trace.{n}",
                   f"trace of the {n}-th matrix power within 1% of S({n}) at N={grid}",

@@ -17,9 +17,11 @@ Two complementary views are implemented:
     symmetric solver.  The traces come from matrix powers, independently of
     the closed form; each square in them is computed by row blocks over its
     upper triangle and mirrored, bit for bit equal to the full product (see
-    ``_square``).  ``nystrom_traces`` takes the traces of M^2, M^3 and M^4
-    from one kernel and one square M @ M, with the bits of three separate
-    ``trace_power_nystrom`` calls.
+    ``_square``).  ``trace_power_nystrom(N, n)`` forms the powers it needs
+    on one kernel, along numpy.linalg.matrix_power's chain of squares;
+    ``nystrom_traces(N)``, the verify suite's call, returns the traces of
+    M^2, M^3 and M^4 from one kernel and one square M @ M, with the bits
+    of three lone ``trace_power_nystrom`` calls.
 
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
@@ -301,69 +303,6 @@ def _square(x: np.ndarray, triangle: bool = False) -> np.ndarray:
     return out
 
 
-def _power_pair(m: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """M^a and M^b for 1 <= a <= b <= a + 1, bit for bit as numpy.linalg.matrix_power.
-
-    matrix_power forms M^3 as (M @ M) @ M and any other power by binary
-    squaring: z runs through M, M^2, M^4, ... and the result takes
-    ``result @ z`` at each set bit of the exponent, lowest first.  Both
-    powers here share one chain of squares, each formed by ``_square``, and
-    every array is dropped once nothing further reads it.
-    """
-    powers = dict.fromkeys((a, b))
-    z = m
-    for k in range(b.bit_length()):
-        if k:
-            z = _square(z)
-        for p in powers:
-            if p == 3:
-                if k == 1:
-                    powers[p] = z @ m
-            elif p >> k & 1:
-                powers[p] = z if powers[p] is None else powers[p] @ z
-        if k == 1:
-            del m  # no product after (M @ M) @ M reads M itself
-    return powers[a], powers[b]
-
-
-def _traces(N: int, powers) -> list[float]:
-    """trace(M^n) for each n in ``powers``, bit for bit as matrix_power gives it.
-
-    With a = n // 2 and b = n - a, trace(M^n) is the sum of the elementwise
-    product of M^a and M^b, both symmetric.  n = 2, 3 and 4 share one kernel
-    and one square M @ M from ``_square``: trace(M^3) reads only the cells
-    where M is nonzero, which the triangle square computes with the same
-    bits as the full one, so the full square is formed only when 4 is among
-    the powers.  Each n >= 5 takes its own ``_power_pair`` chain on a kernel
-    assembled for it.  Each product is a temporary or is written over an
-    array nothing later reads, so at most two N x N arrays are live at once.
-    """
-    if any(n < 2 for n in powers):
-        raise ValueError("the trace route requires n >= 2")
-    _check_grid(N)
-    import numpy as np
-
-    traces = {}
-    m = _kernel_entries(N)
-    if 2 in powers:
-        traces[2] = float(np.sum(m * m))
-    if 3 in powers or 4 in powers:
-        square = _square(m, triangle=4 not in powers)
-        if 3 in powers:
-            traces[3] = float(np.sum(np.multiply(square, m, out=m)))
-        if 4 in powers:
-            traces[4] = float(np.sum(np.multiply(square, square, out=square)))
-        del square
-    del m  # a chain below must hold the only reference to its kernel
-    for n in powers:
-        if n not in traces:
-            ma, mb = _power_pair(_kernel_entries(N), n // 2, n - n // 2)
-            # an elementwise square may read and write one array
-            traces[n] = float(np.sum(np.multiply(mb, ma, out=mb)))
-            del ma, mb
-    return [traces[n] for n in powers]
-
-
 def trace_power_nystrom(N: int, n: int) -> float:
     """Trace of the n-th power of the Nystrom matrix; approximates S(n).
 
@@ -372,25 +311,64 @@ def trace_power_nystrom(N: int, n: int) -> float:
     of any eigenvalue solve: with a = n // 2 and b = n - a, trace(M^n) is
     the sum of the elementwise product of M^a and M^b, both symmetric.
 
-    The powers are formed as numpy.linalg.matrix_power forms them, with
-    each square X @ X of a symmetric X computed by ``_square`` from row
-    blocks over its upper triangle, and for n = 3 M^2 computed only where M
-    is nonzero, as the rest is multiplied by 0.  Every entry is accumulated
-    over K in the order of the full product, so the trace is the float that
-    matrix_power gives, bit for bit; the test suite holds this invariant
-    against a matrix_power oracle, at grids whose size does and does not
-    line up with the row blocks.
+    Both powers are formed as numpy.linalg.matrix_power forms them, on one
+    kernel and one chain of squares: M^3 is (M @ M) @ M, and any other
+    power takes ``result @ z`` at each set bit of its exponent, lowest
+    first, while z runs through M, M^2, M^4, ...  Each square X @ X is
+    computed by ``_square`` from row blocks over the upper triangle of the
+    symmetric X, and for n = 3 M^2 is computed only where M is nonzero, as
+    the rest is multiplied by 0.  Every entry is accumulated over K in the
+    order of the full product, so the trace is the float that matrix_power
+    gives, bit for bit; the test suite holds this invariant against a
+    matrix_power oracle, at grids whose size does and does not line up
+    with the row blocks.  Every array is dropped once nothing further reads
+    it, and the last product is written over M^b.  Measured with
+    tracemalloc, at most four N x N arrays are live at once: one for n = 2,
+    two for n = 3, 4, 8, 16 and 32, three or four for the other n up to 32.
     """
-    return _traces(N, (n,))[0]
+    if n < 2:
+        raise ValueError("the trace route requires n >= 2")
+    _check_grid(N)
+    import numpy as np
+
+    a, b = n // 2, n - n // 2
+    m = _kernel_entries(N)
+    powers = dict.fromkeys((a, b))
+    z = m
+    for k in range(b.bit_length()):
+        if k:
+            z = _square(z, triangle=n == 3)
+        for p in powers:
+            if p == 3:
+                if k == 1:
+                    powers[p] = z @ m
+            elif p >> k & 1:
+                powers[p] = z if powers[p] is None else powers[p] @ z
+        if k == 1:
+            del m  # no product after (M @ M) @ M reads M itself
+    ma, mb = powers[a], powers[b]
+    # an elementwise square may read and write one array
+    return float(np.sum(np.multiply(mb, ma, out=mb)))
 
 
-def nystrom_traces(N: int, powers) -> list[float]:
-    """``[trace_power_nystrom(N, n) for n in powers]``, bit for bit, sharing work.
+def nystrom_traces(N: int) -> tuple[float, float, float]:
+    """trace(M^2), trace(M^3) and trace(M^4), bit for bit as ``trace_power_nystrom`` gives them.
 
-    The traces for n = 2, 3 and 4 come from one kernel and one square, not
-    three kernels and two squares (see ``_traces``).
+    The three share one kernel and one full square M @ M from ``_square``,
+    where three lone calls form three kernels and two squares.  trace(M^3)
+    reads the square only where M is nonzero, which a lone n = 3 call's
+    triangle square computes with the same bits.  The products are written
+    over arrays nothing later reads, so two N x N arrays are live at once.
     """
-    return _traces(N, tuple(powers))
+    _check_grid(N)
+    import numpy as np
+
+    m = _kernel_entries(N)
+    trace2 = float(np.sum(m * m))
+    square = _square(m)
+    trace3 = float(np.sum(np.multiply(square, m, out=m)))
+    trace4 = float(np.sum(np.multiply(square, square, out=square)))
+    return trace2, trace3, trace4
 
 
 def eigenfunction_residual(k: int, N: int) -> float:

@@ -199,8 +199,19 @@ class TestPiMultiple:
             if coeff >= sys.float_info.min:
                 assert s_value(n).to_float() == coeff * math.pi**n, n
 
+    def test_to_float_is_plain_product_to_the_largest_finite_pi_power(self):
+        # math.pi**620 is finite and math.pi**621 overflows
+        rng = random.Random(11)
+        for power in range(600, 621):
+            coeff = Fraction(rng.randint(2**52, 2**53), 2**53)
+            assert PiMultiple(coeff, power).to_float() == float(coeff) * math.pi**power, power
+
+    def test_to_float_beyond_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            PiMultiple(10**305, 10).to_float()
+
     def test_to_float_large_n(self):
-        # pi^n overflows for n >= 620 and float(coeff) goes subnormal earlier
+        # float(coeff) goes subnormal from n = 619 and pi^n overflows from n = 621
         for n in range(600, 2001):
             numeric = s_numeric(n, 1000)
             assert abs(s_value(n).to_float() - numeric.value) <= numeric.tail_bound + 1e-12, n

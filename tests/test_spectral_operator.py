@@ -308,29 +308,53 @@ class TestTraces:
         with pytest.raises(ValueError):
             trace_power_nystrom(100, 1)
 
-    @pytest.mark.parametrize("N", [2, 3, 7, 100, 257, 777, 1000, 1032, 2000])
+    @pytest.mark.parametrize("N", [2, 3, 7, 100, 257, 520, 777, 1000, 1032, 2000])
     def test_bit_identical_to_fresh_product(self, N):
         # n up to 12 runs the shared square chain; 2000 is verify's grid at
         # its powers; 257 and 777 take the full square, 1000 and 1032 end in
         # blocks that line up with neither the row blocks nor the triangle,
-        # and n = 7, 8 square the dense M^2 in blocks
-        powers = {100: range(2, 13), 1032: range(2, 9), 2000: (2, 3, 4)}.get(N, range(2, 7))
+        # n = 7, 8 square the dense M^2 in blocks, and 520 up to n = 16 also
+        # squares the dense M^4 in blocks
+        powers = {100: range(2, 13), 520: range(2, 17), 1032: range(2, 9),
+                  2000: (2, 3, 4)}.get(N, range(2, 7))
         for n in powers:
             assert trace_power_nystrom(N, n) == _trace_oracle(N, n)
 
     @pytest.mark.parametrize("N", [5, 100, 511, 512, 654, 1007, 2000])
     def test_shared_traces_equal_separate_traces(self, N):
         # 512 and 2000 take the blocked square, the other grids the full product
-        traces = nystrom_traces(N, (2, 3, 4))
-        assert traces == [trace_power_nystrom(N, n) for n in (2, 3, 4)]
-        assert traces == [_trace_oracle(N, n) for n in (2, 3, 4)]
+        traces = nystrom_traces(N)
+        assert traces == tuple(trace_power_nystrom(N, n) for n in (2, 3, 4))
+        assert traces == tuple(_trace_oracle(N, n) for n in (2, 3, 4))
 
-    def test_shared_traces_in_any_order_and_with_chains(self):
-        powers = (6, 4, 2, 5, 3, 2)
-        assert nystrom_traces(512, powers) == [trace_power_nystrom(512, n) for n in powers]
-        assert nystrom_traces(100, ()) == []
+    def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            nystrom_traces(100, (2, 1))
+            trace_power_nystrom(1, 2)
+        with pytest.raises(ValueError):
+            nystrom_traces(1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lone_trace_assembles_one_kernel(self, monkeypatch, n):
+        real = spectral_operator._kernel_entries
+        calls = []
+        monkeypatch.setattr(spectral_operator, "_kernel_entries",
+                            lambda N: calls.append(N) or real(N))
+        trace_power_nystrom(64, n)
+        assert calls == [64]
+
+    @pytest.mark.parametrize("n, squares", [(2, []), (3, [True]), (4, [False])])
+    def test_lone_trace_squares(self, monkeypatch, n, squares):
+        # n = 3 needs M^2 only where M is nonzero: the triangle square
+        real = spectral_operator._square
+        calls = []
+
+        def counting(x, triangle=False):
+            calls.append(triangle)
+            return real(x, triangle)
+
+        monkeypatch.setattr(spectral_operator, "_square", counting)
+        trace_power_nystrom(512, n)
+        assert calls == squares
 
     @pytest.mark.parametrize("N", [512, 520, 777, 1000, 1032, 2000])
     def test_blocked_square_equals_full_product(self, N):

@@ -98,9 +98,11 @@ EULER_LIMIT = 1658
 RATIO_LIMIT = 829
 VOLUME_LIMIT = 1423
 
-# Largest g-eval --terms: each term is an exact S(k) rounded to a float, and
-# 1424 terms (the largest n that sums answers) take about 1.2 s cold on
-# 2 CPUs; the cost grows about cubically (3000 terms: 12 s).
+# Largest g-eval --terms: each term is an exact S(k) rounded to a float.
+# g_eval computes only the terms that can change its double, 66 at |z| = 1/2,
+# so the cap costs time only as |z| -> 1: at |z| = 0.99 all 1424 terms (the
+# largest n that sums answers) take about 0.6 s cold on 2 CPUs, and the cost
+# grows about cubically in the terms computed.
 TERMS_LIMIT = 1424
 
 # Largest dimension of the Monte Carlo and spectral trace routes.  Each

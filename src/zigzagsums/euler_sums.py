@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import add
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .special_numbers import bernoulli, euler_number, zigzag
 
@@ -147,6 +147,59 @@ def s_value(n: int) -> PiMultiple:
     return PiMultiple(s_coeff(n), n)
 
 
+# _fsum_with_stop draws only a head of its terms once a bound proves that the
+# rest is at most _REST_LIMIT, and only if that head has at most _HEAD_LIMIT
+# terms (2^16 floats, about 2 MB); otherwise it streams every term.
+_REST_LIMIT = 2.0**-64
+_HEAD_LIMIT = 2**16
+
+
+def _fsum_with_stop(
+    terms: Iterator[float], count: int, rest_bound: Callable[[int], float], last: float
+) -> float:
+    """math.fsum(terms) + last, drawing only a head of the terms where that is provably the same double.
+
+    ``terms`` yields ``count`` floats; ``rest_bound(h)`` must bound, in
+    exact arithmetic and with a factor 2 to spare for rounding, the
+    magnitude of the sum of the floats after the first h.  The head is the
+    least h < count, h <= _HEAD_LIMIT, with R(h) <= _REST_LIMIT, found by
+    bisection on the closed form (R decreases in h), where
+
+        R(h) = rest_bound(h) + (count - h + 1) * 2^-1060.
+
+    The second part covers underflow, which the factor 2 does not: a
+    subnormal term can be off by up to 2^-1073 beyond its relative
+    rounding, and a subnormal bound by up to 2^-1065 (the callers' bounds
+    divide by at most 100 wherever they underflow at h <= _HEAD_LIMIT).
+    So the exact sum T of all the terms lies in [H - R, H + R], with H the
+    exact sum of the head.  math.fsum is correctly rounded and
+    x -> fl(x + last) is monotone, so fl(fsum(T) + last) lies between
+    lo = fl(fsum(head, -R) + last) and hi = fl(fsum(head, +R) + last).
+    When lo == hi that is the value, and the rest is never drawn; otherwise
+    the rest is drawn and summed with the head, which gives the same double
+    as summing the whole stream.
+    """
+
+    def bound(h: int) -> float:
+        return rest_bound(h) + (count - h + 1) * 2.0**-1060
+
+    lower, h = 0, min(count - 1, _HEAD_LIMIT)
+    if h < 1 or bound(h) > _REST_LIMIT:
+        return math.fsum(terms) + last
+    while h - lower > 1:  # invariant: bound(h) <= _REST_LIMIT
+        mid = (lower + h) // 2
+        if bound(mid) <= _REST_LIMIT:
+            h = mid
+        else:
+            lower = mid
+    head = list(islice(terms, h))
+    r = bound(h)
+    lo = math.fsum([*head, -r]) + last
+    if lo == math.fsum([*head, r]) + last:
+        return lo
+    return math.fsum(chain(head, terms)) + last
+
+
 class SNumeric(NamedTuple):
     value: float
     tail_bound: float
@@ -164,6 +217,18 @@ def s_numeric(n: int, K: int) -> SNumeric:
     ``(4k + 1.0) ** -n``, so every term is the double that expression gives.
     numpy's vectorised power is not used: it differs from libm in the last
     bit of some terms.
+
+    The value is fsum(pairs) + 1.0 bit for bit, but for n >= 5 only the
+    first few pairs are drawn (28 at n = 10, 11586 at n = 5), since the rest
+    provably cannot change the double (``_fsum_with_stop``).  The bound on
+    the pairs after the first h is R(h) = (4h - 1)^(1-n) / (n - 1):
+    (4k + 1)^(-n) <= (4k - 1)^(-n) <= the integral of (4x - 1)^(-n) over
+    [k - 1, k], so both halves of the pairs k > h sum to at most
+    (4h - 1)^(1-n) / (4(n - 1)) each, half of R(h).  The other half covers
+    each pow's error (under 1 ulp), the rounding of each pair and of R
+    itself, all relative errors near 2^-52.  n = 2, 3 and 4 need more than
+    _HEAD_LIMIT pairs for R to reach 2^-64 and stream every pair, so the
+    work there still grows with K; the stored head depends on n alone.
     """
     if n < 2:
         raise ValueError("direct summation requires n >= 2")
@@ -174,7 +239,7 @@ def s_numeric(n: int, K: int) -> SNumeric:
         map(pow, range(5, 4 * K + 2, 4), repeat(-n)),  # 4k + 1 for k = 1..K
         map(pow, range(-3, -4 * K, -4), repeat(-n)),  # 1 - 4k
     )
-    value = math.fsum(pairs) + 1.0
+    value = _fsum_with_stop(pairs, K, lambda h: (4 * h - 1.0) ** (1 - n) / (n - 1), 1.0)
     tail_bound = (4 * K - 3.0) ** (1 - n) / (2 * (n - 1))
     return SNumeric(value, tail_bound)
 
@@ -192,12 +257,26 @@ def g_eval(z: float, terms: int) -> GEval:
     row (the k = 0 contribution (4*0+1)^(-n) = 1 of every S(n)) in closed
     form, so its truncation error decays like (|z|/3)^terms rather than
     |z|^terms.
+
+    series is fsum(S(k) z^k for k <= terms) + z^(terms+1)/(1 - z) bit for
+    bit, but it draws only the terms that can change that double
+    (``_fsum_with_stop``), 66 at |z| = 1/2, so no S(k) beyond them is
+    computed.  |S(k)| <= S(2) = pi^2/8 for every k >= 1, so the terms after
+    the first h sum to at most S(2) |z|^(h+1) / (1 - |z|); the bound takes
+    twice that, which covers the rounding of each float S(k), of z^k and of
+    their product: the float S(k) carries about k times math.pi's 2^-54
+    relative error, below 1/2 for any terms below 2^53.  As |z| -> 1 the head passes ``terms`` or _HEAD_LIMIT, and every term is
+    computed, as before.
     """
     if not -1.0 < z < 1.0:
         raise ValueError("the series has radius 1 (pole at z = 1); need |z| < 1")
     if terms < 1:
         raise ValueError("terms must be positive")
     closed = (math.pi * z / 4) * (1 / math.cos(math.pi * z / 2) + math.tan(math.pi * z / 2))
-    partial = math.fsum(s_value(k).to_float() * z**k for k in range(1, terms + 1))
-    series = partial + z ** (terms + 1) / (1 - z)
+    series = _fsum_with_stop(
+        (s_value(k).to_float() * z**k for k in range(1, terms + 1)),
+        terms,
+        lambda h: math.pi**2 / 4 * abs(z) ** (h + 1) / (1 - abs(z)),
+        z ** (terms + 1) / (1 - z),
+    )
     return GEval(closed, series)

@@ -1,10 +1,13 @@
+import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from zigzagsums import euler_sums
 from zigzagsums.euler_sums import (
     PiMultiple,
     g_eval,
@@ -127,8 +130,8 @@ class TestSNumeric:
         pairs = [(4 * k + 1.0) ** -n + (1.0 - 4 * k) ** -n for k in range(1, K + 1)]
         return math.fsum(pairs) + 1.0
 
-    @pytest.mark.parametrize("K", [1, 2, 3, 10, 1000, 10**5])
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("K", [1, 2, 3, 10, 31, 32, 33, 1000, 4097, 10**5])
+    @pytest.mark.parametrize("n", range(2, 41))
     def test_bit_identical_to_per_term_sum(self, n, K):
         assert s_numeric(n, K).value.hex() == self._per_term_sum(n, K).hex()
 
@@ -136,8 +139,95 @@ class TestSNumeric:
     def test_bit_identical_where_terms_underflow(self, n):
         assert s_numeric(n, 1000).value.hex() == self._per_term_sum(n, 1000).hex()
 
+    @staticmethod
+    def _count_pow(monkeypatch):
+        """Count the libm pow calls of s_numeric: two per pair drawn."""
+        calls = [0]
+
+        def counting_pow(base, exp):
+            calls[0] += 1
+            return pow(base, exp)
+
+        monkeypatch.setattr(euler_sums, "pow", counting_pow, raising=False)
+        return calls
+
+    def test_forced_fallback_keeps_bits(self, monkeypatch):
+        # A rest bound of up to 1 never pins the double, so every sum with a
+        # head takes the fallback: the head chained with the rest of the stream.
+        monkeypatch.setattr(euler_sums, "_REST_LIMIT", 1.0)
+        fallbacks = [0]
+
+        def counting_chain(*iterables):
+            fallbacks[0] += 1
+            return itertools.chain(*iterables)
+
+        monkeypatch.setattr(euler_sums, "chain", counting_chain)
+        cases = [(n, K) for n in range(5, 13) for K in (33, 1000, 10**5)]
+        for n, K in cases:
+            assert s_numeric(n, K).value.hex() == self._per_term_sum(n, K).hex()
+        assert fallbacks[0] == len(cases)
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_small_n_streams_every_pair(self, monkeypatch, n):
+        calls = self._count_pow(monkeypatch)
+        s_numeric(n, 1000)
+        assert calls[0] == 2 * 1000
+
+    def test_huge_truncation_returns_fast(self):
+        start = time.perf_counter()
+        value = s_numeric(8, 10**15).value
+        assert time.perf_counter() - start < 0.5
+        assert value.hex() == s_numeric(8, 10**5).value.hex()
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_early_exit_head_depends_on_n_alone(self, monkeypatch, n):
+        calls = self._count_pow(monkeypatch)
+        drawn = []
+        for K in (10**5, 10**6, 10**15):
+            calls[0] = 0
+            s_numeric(n, K)
+            drawn.append(calls[0])
+        assert 0 < drawn[0] < 2 * 10**5
+        assert drawn[0] == drawn[1] == drawn[2] <= 2 * euler_sums._HEAD_LIMIT
+
+    def test_head_never_passes_limit(self, monkeypatch):
+        # n = 8 needs a head of about 100 pairs: above a limit of 64 it
+        # streams every pair instead of storing a longer head.
+        monkeypatch.setattr(euler_sums, "_HEAD_LIMIT", 64)
+        calls = self._count_pow(monkeypatch)
+        s_numeric(8, 1000)
+        assert calls[0] == 2 * 1000
+        calls[0] = 0
+        s_numeric(10, 1000)
+        assert calls[0] <= 2 * 64
+
 
 class TestGEval:
+    @staticmethod
+    def _literal_series(z, terms):
+        """Oracle: every power-series term, math.fsum, then the closed geometric rest."""
+        partial = math.fsum(s_value(k).to_float() * z**k for k in range(1, terms + 1))
+        return partial + z ** (terms + 1) / (1 - z)
+
+    @pytest.mark.parametrize(
+        "z,terms",
+        [(z, terms) for z in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99) for terms in (1, 2, 80, 300)]
+        + [(0.5, 1424), (-0.9, 1424)],
+    )
+    def test_series_bit_identical_to_literal(self, z, terms):
+        assert g_eval(z, terms).series.hex() == self._literal_series(z, terms).hex()
+
+    def test_series_stops_early(self, monkeypatch):
+        calls = [0]
+
+        def counting_s_value(n):
+            calls[0] += 1
+            return s_value(n)
+
+        monkeypatch.setattr(euler_sums, "s_value", counting_s_value)
+        g_eval(0.5, 1424)
+        assert calls[0] < 100
+
     def test_at_zero(self):
         assert g_eval(0.0, 10) == (0.0, 0.0)
 

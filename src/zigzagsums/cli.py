@@ -71,7 +71,7 @@ from .spectral_operator import (
 
 CONFIG_ENV = "ZIGZAGSUMS_CONFIG"
 
-DEFAULTS = {"digits": 12, "seed": 0, "samples": 10**6, "grid": 2000}
+DEFAULTS = {"digits": 12, **report.run_suite.__kwdefaults__}
 
 # Largest Nystrom grid accepted: the dense N x N matrix takes 8 N^2 bytes
 # (134 MB at N = 4096) and the trace route holds several such arrays.

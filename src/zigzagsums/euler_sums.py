@@ -265,16 +265,21 @@ def g_eval(z: float, terms: int) -> GEval:
     the first h sum to at most S(2) |z|^(h+1) / (1 - |z|); the bound takes
     twice that, which covers the rounding of each float S(k), of z^k and of
     their product: the float S(k) carries about k times math.pi's 2^-54
-    relative error, below 1/2 for any terms below 2^53.  As |z| -> 1 the head passes ``terms`` or _HEAD_LIMIT, and every term is
-    computed, as before.
+    relative error, below 1/2 for any terms below 2^53.  As |z| -> 1 the
+    head passes ``terms`` or _HEAD_LIMIT, and every term is computed, as
+    before.  A term whose z^k underflows to +-0.0 is that zero, as the
+    float S(k) is positive and finite, so its S(k) is not computed: none at
+    z = 0, one at 1e-300, where the stop's bracket is wider than the sum
+    and every term is drawn.
     """
     if not -1.0 < z < 1.0:
         raise ValueError("the series has radius 1 (pole at z = 1); need |z| < 1")
     if terms < 1:
         raise ValueError("terms must be positive")
     closed = (math.pi * z / 4) * (1 / math.cos(math.pi * z / 2) + math.tan(math.pi * z / 2))
+    powers = (z**k for k in range(1, terms + 1))
     series = _fsum_with_stop(
-        (s_value(k).to_float() * z**k for k in range(1, terms + 1)),
+        (s_value(k).to_float() * p if p else p for k, p in enumerate(powers, 1)),
         terms,
         lambda h: math.pi**2 / 4 * abs(z) ** (h + 1) / (1 - abs(z)),
         z ** (terms + 1) / (1 - z),

@@ -359,6 +359,7 @@ def _spectral_checks(rec: _Recorder, grid: int) -> None:
 
 def run_suite(
     suite: str = "all",
+    *,
     seed: int = 0,
     samples: int = 10**6,
     grid: int = 2000,

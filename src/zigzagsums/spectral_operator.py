@@ -21,7 +21,8 @@ Two complementary views are implemented:
     on one kernel, along numpy.linalg.matrix_power's chain of squares;
     ``nystrom_traces(N)``, the verify suite's call, returns the traces of
     M^2, M^3 and M^4 from one kernel and one square M @ M, with the bits
-    of three lone ``trace_power_nystrom`` calls.
+    of three lone ``trace_power_nystrom`` calls.  Only the traces build
+    N x N arrays: the eigenfunction residual sums in closed form.
 
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
@@ -50,9 +51,6 @@ HALF_PI = math.pi / 2
 
 # Degree of the exact operator iterates grows linearly; keep desk scale.
 T_POWER_LIMIT = 40
-
-# Grid rows per block of the eigenfunction residual's cosine quadrature.
-RESIDUAL_ROWS = 256
 
 # Rows per block of the blocked square in the trace route; every block edge
 # is a multiple of it or N (see _square).
@@ -372,12 +370,16 @@ def nystrom_traces(N: int) -> tuple[float, float, float]:
 
 
 def eigenfunction_residual(k: int, N: int) -> float:
-    """Discretization residual of the eigenrelation for cos((4k+1)u).
+    """Discretization residual of the eigenrelation for cos(mu), m = 4k+1.
 
-    For each grid midpoint v, integrates cos((4k+1)u) over (0, pi/2 - v)
-    with an N-point midpoint rule and compares with cos((4k+1)v)/(4k+1);
-    returns the maximum absolute mismatch, O(1/N^2) for this smooth
-    integrand.
+    For each grid midpoint v, integrates cos(mu) over (0, pi/2 - v) by the
+    N-point midpoint rule of width w = (pi/2 - v)/N and compares with
+    cos(mv)/m; returns the maximum absolute mismatch, O(1/N^2).  With
+    x = mw, 2 sin(x/2) cos((j + 1/2)x) = sin((j + 1)x) - sin(jx) telescopes
+    the rule to w sin(Nx) / (2 sin(x/2)), where Nx = m(pi/2 - v), so only
+    arrays of length N are built (sin(x/2) != 0: x/2 is a nonzero double).
+    No tautology: sin(m(pi/2 - v)) equals cos(mv) only for m = 1 (mod 4),
+    and the quadrature error remains.
     """
     if N < 100:
         raise ValueError("use N >= 100 for a meaningful residual")
@@ -385,16 +387,7 @@ def eigenfunction_residual(k: int, N: int) -> float:
 
     m = 4 * k + 1
     v = grid_midpoints(N)
-    widths = (HALF_PI - v) / N
-    offsets = np.arange(N) + 0.5
-    quadrature = np.empty(N)
-    # Row blocks bound the temporary to RESIDUAL_ROWS x N; each row is still
-    # summed whole, so the values match a single N x N evaluation bit for bit.
-    for start in range(0, N, RESIDUAL_ROWS):
-        rows = slice(start, start + RESIDUAL_ROWS)
-        block = widths[rows, None] * offsets[None, :]
-        block *= m
-        np.cos(block, out=block)
-        quadrature[rows] = np.sum(block, axis=1)
-    quadrature *= widths
+    span = HALF_PI - v
+    width = span / N
+    quadrature = width * np.sin(m * span) / (2 * np.sin(m * width / 2))
     return float(np.max(np.abs(quadrature - np.cos(m * v) / m)))

@@ -436,6 +436,14 @@ class TestVerify:
         assert code == 1
         assert "[FAIL]" in out
 
+    def test_defaults_match_run_suite(self, capsys, monkeypatch):
+        # without flags or a config file, verify runs the report run_suite() runs
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        code, out, _ = run(capsys, "verify", "numeric", "--json")
+        assert code == 0
+        assert out.rstrip("\n") == report.run_suite("numeric").to_json()
+        assert json.loads(out)["metadata"]["grid"] == 2000
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["verify", "bogus"])

@@ -212,7 +212,8 @@ class TestGEval:
     @pytest.mark.parametrize(
         "z,terms",
         [(z, terms) for z in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99) for terms in (1, 2, 80, 300)]
-        + [(0.5, 1424), (-0.9, 1424)],
+        + [(0.5, 1424), (-0.9, 1424)]
+        + [(z, 1424) for z in (0.0, -0.0, 1e-300, -1e-310)],
     )
     def test_series_bit_identical_to_literal(self, z, terms):
         assert g_eval(z, terms).series.hex() == self._literal_series(z, terms).hex()
@@ -227,6 +228,20 @@ class TestGEval:
         monkeypatch.setattr(euler_sums, "s_value", counting_s_value)
         g_eval(0.5, 1424)
         assert calls[0] < 100
+
+    @pytest.mark.parametrize("z", [0.0, -0.0, 1e-300, -1e-310])
+    def test_underflowed_terms_skip_s_value(self, monkeypatch, z):
+        # the stop's bracket is wider than these sums, so every term is drawn;
+        # from z^2 on the powers are signed zeros, and so are the terms
+        calls = [0]
+
+        def counting_s_value(n):
+            calls[0] += 1
+            return s_value(n)
+
+        monkeypatch.setattr(euler_sums, "s_value", counting_s_value)
+        g_eval(z, 1424)
+        assert calls[0] == (1 if z else 0)
 
     def test_at_zero(self):
         assert g_eval(0.0, 10) == (0.0, 0.0)

@@ -79,16 +79,37 @@ class TestSerialization:
                 "tolerance",
             }
 
-    def test_exact_and_numeric_checks_match_benchmark_golden(self):
-        # The spectral checks are left out: their bits depend on the BLAS
-        # kernel and thread count.  The Monte Carlo checks depend on the seed.
+    @staticmethod
+    def _golden(*prefixes):
         golden = Path(__file__).resolve().parents[1] / "benchmark" / "verify_golden.json"
-        wanted = [
+        return [
             check for check in json.loads(golden.read_text(encoding="utf-8"))
-            if check["id"].startswith(("exact.", "numeric."))
+            if check["id"].startswith(prefixes)
         ]
+
+    def test_exact_and_numeric_checks_match_benchmark_golden(self):
+        # The Monte Carlo checks depend on the seed; the spectral checks
+        # follow below.
+        wanted = self._golden("exact.", "numeric.")
         got = [dataclasses.asdict(c) for suite in ("exact", "numeric") for c in run_suite(suite).checks]
         assert got == wanted
+
+    def test_spectral_checks_outside_blas_match_benchmark_golden(self):
+        # The benchmark's rule: every field equal, but the actual within
+        # 1e-12 relative.  spectral.trace.* and spectral.spectral_sum.* are
+        # left out, as their bits come from BLAS and vary by CPU kernel and
+        # thread count.
+        wanted = self._golden(
+            "spectral.eigenvalue.", "spectral.multiplicity", "spectral.residual."
+        )
+        got = {c.id: dataclasses.asdict(c) for c in run_suite("spectral").checks}
+        assert len(wanted) == 9
+        for check in wanted:
+            mine = got[check["id"]]
+            assert {**mine, "actual": check["actual"]} == check
+            if mine["actual"] != check["actual"]:
+                golden = float(check["actual"])
+                assert abs(float(mine["actual"]) - golden) <= 1e-12 * max(1.0, abs(golden))
 
 
 class TestMonteCarloSuite:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,13 +46,59 @@ def _parseval_oracle(n, K):
 
 
 def _residual_oracle(k, N):
-    """Oracle: the residual from one N x N cosine quadrature."""
+    """Oracle: the residual from the N-point midpoint sum itself, each row summed by math.fsum."""
     m = 4 * k + 1
     v = grid_midpoints(N)
     widths = (math.pi / 2 - v) / N
-    nodes = widths[:, None] * (np.arange(N)[None, :] + 0.5)
-    quadrature = np.sum(np.cos(m * nodes), axis=1) * widths
-    return float(np.max(np.abs(quadrature - np.cos(m * v) / m)))
+    offsets = np.arange(N) + 0.5
+    sums = np.array([math.fsum(np.cos(m * (w * offsets))) for w in widths])
+    return float(np.max(np.abs(sums * widths - np.cos(m * v) / m)))
+
+
+# Unit roundoff, and the accuracy assumed of numpy's sin and cos: within
+# TRIG_ULPS ulps of the exact value at their double argument.
+U = 2.0**-53
+TRIG_ULPS = 4
+
+
+def _residual_rounding_bound(k, N):
+    """A bound on |eigenfunction_residual - _residual_oracle| from the float error of both forms.
+
+    Both evaluate, at each midpoint v, the same exact sum Q* = w S with
+    S = sum_j cos((j + 1/2) m w) for the double width w = fl(s/N),
+    s = fl(pi/2 - v), so that L = N w = s (1 + e), |e| <= u.  Below,
+    u = 2^-53, T = TRIG_ULPS, and ulp(y) <= 2u|y|.
+
+      oracle: each node fl(m fl(w t)) is within 2u|m|L of m w t (t <= N),
+        and its cosine within that plus 2Tu; math.fsum adds u|S| <= uN and
+        the product with w u|Q|, so |Q_o - Q*| <= L (2u|m|L + (2T + 2)u).
+      closed form: Q* = w n / D with n = sin(m N w) and D = 2 sin(m w/2).
+        fl(m s) is within 2u|m|s of m N w, so the computed numerator is
+        within dn = 2u|m|s + 2Tu of n.  fl(m w)/2 is within u|m|w/2 of
+        m w/2, so the computed D_c is within dD = u|m|w + 2Tu|D_c| of D.
+        Then |w n_c/D_c - w n/D| <= w dn/|D_c| + w dD/(|D_c| (|D_c| - dD)),
+        as |n| <= 1, and the product and the quotient add 2u|Q_c|.
+
+    The residuals subtract the same doubles c = cos(mv)/m, so they differ
+    by at most the largest sum of the two errors over v, plus u |Q - c| <=
+    u (L + 1) on each side for the rounding of the subtraction.  The factor
+    1.01 covers the dropped terms of order u^2.  Raises unless dD < |D_c|
+    at every v, where the bound would be void.
+    """
+    m = 4 * k + 1
+    v = grid_midpoints(N)
+    span = math.pi / 2 - v
+    w = span / N
+    L = N * w * (1 + U)
+    d_c = 2 * np.sin(m * w / 2)
+    q_c = w * np.sin(m * span) / d_c
+    d_c = np.abs(d_c)
+    dn = 2 * U * abs(m) * span + 2 * TRIG_ULPS * U
+    dd = U * abs(m) * w + 2 * TRIG_ULPS * U * d_c
+    assert np.all(dd < d_c)
+    oracle = L * (2 * U * abs(m) * L + (2 * TRIG_ULPS + 2) * U)
+    closed = w * dn / d_c + w * dd / (d_c * (d_c - dd)) + 2 * U * np.abs(q_c)
+    return 1.01 * float(np.max(oracle + closed + 2 * U * (L + 1)))
 
 
 def _vpipoly_iterate(n):
@@ -387,7 +434,29 @@ class TestEigenfunctionResidual:
         with pytest.raises(ValueError):
             eigenfunction_residual(0, 50)
 
-    @pytest.mark.parametrize("N", [100, 257, 1000])
-    @pytest.mark.parametrize("k", [0, -1, 1])
-    def test_bit_identical_to_unblocked_quadrature(self, k, N):
-        assert eigenfunction_residual(k, N) == _residual_oracle(k, N)
+    @pytest.mark.parametrize("N", [100, 257, 1000, 2000])
+    @pytest.mark.parametrize("k", [0, -1, 1, -2, 2])
+    def test_closed_form_tracks_midpoint_sum(self, k, N):
+        bound = _residual_rounding_bound(k, N)
+        assert abs(eigenfunction_residual(k, N) - _residual_oracle(k, N)) <= bound
+
+    @pytest.mark.parametrize("k", [500, 10**6])
+    def test_under_resolved_mode_tracks_midpoint_sum(self, k):
+        # |4k + 1| >= 2N: the grid no longer resolves cos(mu), and from
+        # |4k + 1| > 4N on, sin(m w/2) changes sign between grid points
+        N = 1000
+        residual = eigenfunction_residual(k, N)
+        assert math.isfinite(residual)
+        assert abs(residual - _residual_oracle(k, N)) <= _residual_rounding_bound(k, N)
+
+    def test_memory_linear_in_grid(self):
+        # at most 16 arrays of N doubles, where one 256-row block of the
+        # N x N cosines took 256 (6 MB at N = 3000)
+        N = 3000
+        tracemalloc.start()
+        try:
+            eigenfunction_residual(1, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * N

@@ -48,7 +48,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__, report
-from .euler_sums import PiMultiple, g_eval, l4_coeff, s_coeff, s_value, zeta_coeff
+from .euler_sums import PiMultiple, g_eval, l4_coeff, s_value, zeta_coeff
 from .polytope_lab import (
     EXTENSION_LIMIT,
     McEstimate,
@@ -228,26 +228,20 @@ def cmd_sums(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
 
 
 def cmd_tables(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
-    columns = {
-        "s_coeff": {n: str(s_coeff(n)) for n in range(1, 11)},
-        "zeta_coeff": {n: str(zeta_coeff(n)) for n in range(2, 11, 2)},
-        "bernoulli": {n: str(bernoulli(n)) for n in range(0, 11, 2)},
-        "euler": {n: str(euler_number(n)) for n in range(0, 9, 2)},
-        "zigzag": {n: str(zigzag(n)) for n in range(1, 11)},
-        "cyclic_zigzag": {n: str(cyclic_zigzag(n)) for n in range(2, 11, 2)},
-    }
-    tables = (
-        ("coefficients of pi^n in S(n) and zeta(n), n = 1..10",
-         ["n", "pi^-n S(n)", "pi^-n zeta(n)"], "s_coeff", "zeta_coeff"),
-        ("Bernoulli and Euler numbers of even order", ["n", "B_n", "E_n"], "bernoulli", "euler"),
-        ("alternating permutation counts A(n) and cyclic counts A0(n), n = 1..10",
-         ["n", "A(n)", "A0(n)"], "zigzag", "cyclic_zigzag"),
+    # Each column is its route's value at the n that verify exact checks.
+    columns = [
+        {str(n): str(getattr(report, route)(n)) for n in values} for _, _, route, values in report.TABLES
+    ]
+    titles = (
+        ("coefficients of pi^n in S(n) and zeta(n), n = 1..10", "pi^-n S(n)", "pi^-n zeta(n)"),
+        ("Bernoulli and Euler numbers of even order", "B_n", "E_n"),
+        ("alternating permutation counts A(n) and cyclic counts A0(n), n = 1..10", "A(n)", "A0(n)"),
     )
     blocks = []
-    for title, header, first, second in tables:
-        rows = [[str(n), v, columns[second].get(n, "-")] for n, v in columns[first].items()]
-        blocks.append(title + "\n" + _format_table([header, *rows]))
-    payload = {name: {str(n): v for n, v in column.items()} for name, column in columns.items()}
+    for (title, *header), first, second in zip(titles, columns[::2], columns[1::2]):
+        rows = [[n, v, second.get(n, "-")] for n, v in first.items()]
+        blocks.append(title + "\n" + _format_table([["n", *header], *rows]))
+    payload = {entry[0]: column for entry, column in zip(report.TABLES, columns)}
     return payload, "\n\n".join(blocks)
 
 

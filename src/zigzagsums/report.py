@@ -10,8 +10,10 @@ status, and printable expected/actual/tolerance fields.  Suites:
   spectral    Nystrom eigenvalues, traces, and eigenfunction residuals
   all         everything above
 
-Reports are deterministic for fixed inputs (no timestamps), so repeated runs
-produce byte-identical JSON.
+Each suite yields its checks; ``run_suite`` collects them and refuses a
+repeated id.  ``TABLES`` holds the reference values of the exact suite, and
+the tables command prints from it too.  Reports are deterministic for fixed
+inputs (no timestamps), so repeated runs produce byte-identical JSON.
 
 The Monte Carlo gate can fail a correct estimator by chance.  Under the
 normal approximation each of its 7 checks misses 4 standard errors with
@@ -34,7 +36,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from . import __version__
 from .euler_sums import (
@@ -151,169 +152,137 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class _Recorder(list):
-    """A report's list of checks, each added under an id no earlier check has."""
-
-    def add(self, check_id: str, description: str, ok: bool, expected, actual, tolerance):
-        if any(check.id == check_id for check in self):
-            raise ValueError(f"duplicate check id {check_id}")
-        status = "pass" if ok else "fail"
-        self.append(CheckResult(check_id, description, status, str(expected), str(actual), str(tolerance)))
-
-    def exact(self, check_id: str, description: str, expected, actual) -> None:
-        self.add(check_id, description, expected == actual, expected, actual, "exact")
-
-    def close(self, check_id: str, description: str, expected: float, actual: float, tol: float) -> None:
-        self.add(check_id, description, abs(actual - expected) <= tol, expected, actual, tol)
-
-    def below(self, check_id: str, description: str, value: float, bound: float) -> None:
-        self.add(check_id, description, value < bound, f"< {bound}", value, bound)
+def _exact(check_id: str, description: str, expected, actual) -> CheckResult:
+    status = "pass" if expected == actual else "fail"
+    return CheckResult(check_id, description, status, str(expected), str(actual), "exact")
 
 
-S_COEFF_TABLE = {
-    1: Fraction(1, 4),
-    2: Fraction(1, 8),
-    3: Fraction(1, 32),
-    4: Fraction(1, 96),
-    5: Fraction(5, 1536),
-    6: Fraction(1, 960),
-    7: Fraction(61, 184320),
-    8: Fraction(17, 161280),
-    9: Fraction(277, 8257536),
-    10: Fraction(31, 2903040),
-}
-
-ZETA_COEFF_TABLE = {
-    2: Fraction(1, 6),
-    4: Fraction(1, 90),
-    6: Fraction(1, 945),
-    8: Fraction(1, 9450),
-    10: Fraction(1, 93555),
-}
-
-BERNOULLI_TABLE = {
-    0: Fraction(1),
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-}
-
-EULER_TABLE = {0: 1, 2: -1, 4: 5, 6: -61, 8: 1385}
-
-ZIGZAG_TABLE = {1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 61, 7: 272, 8: 1385, 9: 7936, 10: 50521}
-
-CYCLIC_ZIGZAG_TABLE = {2: 1, 4: 4, 6: 48, 8: 1088, 10: 39680}
+def _within(check_id: str, description: str, expected: float, actual: float, tol: float) -> CheckResult:
+    status = "pass" if abs(actual - expected) <= tol else "fail"
+    return CheckResult(check_id, description, status, str(expected), str(actual), str(tol))
 
 
-def _exact_checks(rec: _Recorder) -> None:
-    for n, expected in S_COEFF_TABLE.items():
-        rec.exact(f"exact.s_coeff.{n}", f"coefficient of pi^{n} in S({n})", expected, s_coeff(n))
-    for n, expected in ZETA_COEFF_TABLE.items():
-        rec.exact(f"exact.zeta_coeff.{n}", f"coefficient of pi^{n} in zeta({n})", expected, zeta_coeff(n))
-    rec.exact("exact.l4_coeff.1", "alternating L-value coefficient at n=1", Fraction(1, 4), l4_coeff(1))
-    for n, expected in BERNOULLI_TABLE.items():
-        rec.exact(f"exact.bernoulli.{n}", f"Bernoulli number B_{n}", expected, bernoulli(n))
-    rec.exact("exact.bernoulli.1", "Bernoulli number B_1", Fraction(-1, 2), bernoulli(1))
-    rec.exact("exact.bernoulli.odd", "odd Bernoulli numbers vanish for 3 <= n <= 19",
-              [Fraction(0)] * 9, [bernoulli(n) for n in range(3, 20, 2)])
-    for n, expected in EULER_TABLE.items():
-        rec.exact(f"exact.euler.{n}", f"Euler number E_{n}", expected, euler_number(n))
-    for n, expected in ZIGZAG_TABLE.items():
-        rec.exact(f"exact.zigzag.{n}", f"alternating permutation count A({n})", expected, zigzag(n))
-    for n, expected in CYCLIC_ZIGZAG_TABLE.items():
-        rec.exact(f"exact.cyclic_zigzag.{n}", f"cyclic count A0({n})", expected, cyclic_zigzag(n))
+# The reference tables: (name, description, route, {n: value}).  verify exact
+# checks route(n) == value as exact.<name>.<n>, and the tables command prints
+# route(n) for the same n.  The route is the name of a function bound in this
+# module, looked up at call time, so a function rebound here (a tracer, a
+# test's patch) is the one both commands call.
+TABLES = (
+    ("s_coeff", "coefficient of pi^{n} in S({n})", "s_coeff", {
+        1: Fraction(1, 4),
+        2: Fraction(1, 8),
+        3: Fraction(1, 32),
+        4: Fraction(1, 96),
+        5: Fraction(5, 1536),
+        6: Fraction(1, 960),
+        7: Fraction(61, 184320),
+        8: Fraction(17, 161280),
+        9: Fraction(277, 8257536),
+        10: Fraction(31, 2903040),
+    }),
+    ("zeta_coeff", "coefficient of pi^{n} in zeta({n})", "zeta_coeff", {
+        2: Fraction(1, 6),
+        4: Fraction(1, 90),
+        6: Fraction(1, 945),
+        8: Fraction(1, 9450),
+        10: Fraction(1, 93555),
+    }),
+    ("bernoulli", "Bernoulli number B_{n}", "bernoulli", {
+        0: Fraction(1),
+        2: Fraction(1, 6),
+        4: Fraction(-1, 30),
+        6: Fraction(1, 42),
+        8: Fraction(-1, 30),
+        10: Fraction(5, 66),
+    }),
+    ("euler", "Euler number E_{n}", "euler_number", {0: 1, 2: -1, 4: 5, 6: -61, 8: 1385}),
+    ("zigzag", "alternating permutation count A({n})", "zigzag",
+     {1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 61, 7: 272, 8: 1385, 9: 7936, 10: 50521}),
+    ("cyclic_zigzag", "cyclic count A0({n})", "cyclic_zigzag", {2: 1, 4: 4, 6: 48, 8: 1088, 10: 39680}),
+)
+
+
+def _table_checks(entries):
+    for name, description, route, values in entries:
+        for n, expected in values.items():
+            yield _exact(f"exact.{name}.{n}", description.format(n=n), expected, globals()[route](n))
+
+
+def _exact_checks():
+    yield from _table_checks(TABLES[:2])
+    yield _exact("exact.l4_coeff.1", "alternating L-value coefficient at n=1", Fraction(1, 4), l4_coeff(1))
+    yield from _table_checks(TABLES[2:3])
+    yield _exact("exact.bernoulli.1", "Bernoulli number B_1", Fraction(-1, 2), bernoulli(1))
+    yield _exact("exact.bernoulli.odd", "odd Bernoulli numbers vanish for 3 <= n <= 19",
+                 [Fraction(0)] * 9, [bernoulli(n) for n in range(3, 20, 2)])
+    yield from _table_checks(TABLES[3:])
     for n in range(1, ENUMERATION_LIMIT + 1):
-        rec.exact(f"exact.zigzag_bruteforce.{n}", f"A({n}) by enumeration of all {n}! permutations",
-                  zigzag(n), zigzag_bruteforce(n))
+        yield _exact(f"exact.zigzag_bruteforce.{n}", f"A({n}) by enumeration of all {n}! permutations",
+                     zigzag(n), zigzag_bruteforce(n))
     for n in range(2, ENUMERATION_LIMIT + 1, 2):
-        rec.exact(f"exact.cyclic_bruteforce.{n}", f"A0({n}) by enumeration",
-                  cyclic_zigzag(n), cyclic_zigzag_bruteforce(n))
-    rec.exact("exact.route.bernoulli", "Bernoulli route equals zigzag route for even n <= 60",
-              [s_coeff(n) for n in range(2, 61, 2)],
-              [s_coeff_via_bernoulli(n) for n in range(2, 61, 2)])
-    rec.exact("exact.route.euler", "Euler route equals zigzag route for odd n <= 59",
-              [s_coeff(n) for n in range(1, 60, 2)],
-              [s_coeff_via_euler(n) for n in range(1, 60, 2)])
-    rec.exact("exact.extensions.chain", "chain order-polytope volume equals A(n)/n! for n <= 10",
-              [Fraction(zigzag(n), math.factorial(n)) for n in range(1, 11)],
-              [order_polytope_volume(chain_poset(n)) for n in range(1, 11)])
-    rec.exact("exact.extensions.cyclic",
-              "cyclic order-polytope volume equals A0(n)/n! and 2^n s_coeff(n) for even n <= 10",
-              [volume_formula(PolytopeSpec("cyclic", n, "unit")).coeff for n in range(2, 11, 2)],
-              [order_polytope_volume(cyclic_poset(n)) for n in range(2, 11, 2)])
-    rec.exact("exact.power_sum", "Bernoulli power-sum identity for N <= 20, p <= 10",
-              True,
-              all(sums.direct == sums.via_bernoulli
-                  for sums in (power_sum(N, p) for N in range(1, 21) for p in range(11))))
-    rec.exact("exact.cyclic_bernoulli_identity",
-              "A0(n) = 2^(n-1) (2^n - 1) |B_n| for even n <= 16",
-              [cyclic_zigzag(n) for n in range(2, 17, 2)],
-              [2 ** (n - 1) * (2**n - 1) * abs(bernoulli(n)) for n in range(2, 17, 2)])
-    purity_ok = True
-    for n in range(1, 21):
-        ip = inner_product_one(n)
-        expected_coeff = Fraction(zigzag(n), math.factorial(n) * 2**n)
-        if ip.terms != ((n, expected_coeff),):
-            purity_ok = False
-    rec.exact("exact.operator_monomial",
-              "inner product of 1 with the (n-1)-th operator iterate is (A(n)/n!)(pi/2)^n, n <= 20",
-              True, purity_ok)
-    rec.exact("exact.ratio.m5", "cyclic-to-plain ratio at ten letters",
-              Fraction(39680, 50521), Fraction(cyclic_zigzag(10), zigzag(10)))
+        yield _exact(f"exact.cyclic_bruteforce.{n}", f"A0({n}) by enumeration",
+                     cyclic_zigzag(n), cyclic_zigzag_bruteforce(n))
+    yield _exact("exact.route.bernoulli", "Bernoulli route equals zigzag route for even n <= 60",
+                 [s_coeff(n) for n in range(2, 61, 2)],
+                 [s_coeff_via_bernoulli(n) for n in range(2, 61, 2)])
+    yield _exact("exact.route.euler", "Euler route equals zigzag route for odd n <= 59",
+                 [s_coeff(n) for n in range(1, 60, 2)],
+                 [s_coeff_via_euler(n) for n in range(1, 60, 2)])
+    yield _exact("exact.extensions.chain", "chain order-polytope volume equals A(n)/n! for n <= 10",
+                 [Fraction(zigzag(n), math.factorial(n)) for n in range(1, 11)],
+                 [order_polytope_volume(chain_poset(n)) for n in range(1, 11)])
+    yield _exact("exact.extensions.cyclic",
+                 "cyclic order-polytope volume equals A0(n)/n! and 2^n s_coeff(n) for even n <= 10",
+                 [volume_formula(PolytopeSpec("cyclic", n, "unit")).coeff for n in range(2, 11, 2)],
+                 [order_polytope_volume(cyclic_poset(n)) for n in range(2, 11, 2)])
+    yield _exact("exact.power_sum", "Bernoulli power-sum identity for N <= 20, p <= 10",
+                 True,
+                 all(sums.direct == sums.via_bernoulli
+                     for sums in (power_sum(N, p) for N in range(1, 21) for p in range(11))))
+    yield _exact("exact.cyclic_bernoulli_identity",
+                 "A0(n) = 2^(n-1) (2^n - 1) |B_n| for even n <= 16",
+                 [cyclic_zigzag(n) for n in range(2, 17, 2)],
+                 [2 ** (n - 1) * (2**n - 1) * abs(bernoulli(n)) for n in range(2, 17, 2)])
+    yield _exact("exact.operator_monomial",
+                 "inner product of 1 with the (n-1)-th operator iterate is (A(n)/n!)(pi/2)^n, n <= 20",
+                 True,
+                 all(inner_product_one(n).terms == ((n, Fraction(zigzag(n), math.factorial(n) * 2**n)),)
+                     for n in range(1, 21)))
+    yield _exact("exact.ratio.m5", "cyclic-to-plain ratio at ten letters",
+                 Fraction(39680, 50521), Fraction(cyclic_zigzag(10), zigzag(10)))
 
 
-def _numeric_checks(rec: _Recorder) -> None:
+def _numeric_checks():
     for n in range(2, 11):
         value, tail = s_numeric(n, 10**5)
-        exact_value = s_value(n).to_float()
-        rec.close(f"numeric.s_numeric.{n}",
-                  f"truncated summation of S({n}) within its tail bound",
-                  exact_value, value, tail + 1e-9)
+        yield _within(f"numeric.s_numeric.{n}", f"truncated summation of S({n}) within its tail bound",
+                      s_value(n).to_float(), value, tail + 1e-9)
     for z in (0.5, -0.5, 0.9, -0.9):
         closed, series = g_eval(z, 80)
-        rec.close(f"numeric.g_eval.{z}", f"generating function closed form vs series at z={z}",
-                  closed, series, 1e-10)
+        yield _within(f"numeric.g_eval.{z}", f"generating function closed form vs series at z={z}",
+                      closed, series, 1e-10)
     exact_pi4, numeric = arctangent_check()
-    rec.close("numeric.arctangent", "arctangent integral recovers pi/4",
-              exact_pi4.to_float(), numeric, 1e-10)
-    rec.close("numeric.fourier.k0", "leading expansion coefficient of the constant 1",
-              4 / math.pi, fourier_coeff_const(0), 1e-14)
-    rec.close("numeric.parseval.0", "squared-coefficient sum recovers the norm of 1",
-              math.pi / 2, parseval_sum(0, 10**5), 1e-4)
-    rec.close("numeric.parseval.1", "weighted squared-coefficient sum recovers pi^2/8",
-              math.pi**2 / 8, parseval_sum(1, 10**4), 1e-6)
+    yield _within("numeric.arctangent", "arctangent integral recovers pi/4",
+                  exact_pi4.to_float(), numeric, 1e-10)
+    yield _within("numeric.fourier.k0", "leading expansion coefficient of the constant 1",
+                  4 / math.pi, fourier_coeff_const(0), 1e-14)
+    yield _within("numeric.parseval.0", "squared-coefficient sum recovers the norm of 1",
+                  math.pi / 2, parseval_sum(0, 10**5), 1e-4)
+    yield _within("numeric.parseval.1", "weighted squared-coefficient sum recovers pi^2/8",
+                  math.pi**2 / 8, parseval_sum(1, 10**4), 1e-6)
 
 
-def _montecarlo_cases():
-    """(name, description, estimator, exact value) for each Monte Carlo check, in report order."""
-    for kind, n in MC_VOLUME_CASES:
-        spec = PolytopeSpec(kind, n, "half_pi")
-        yield (f"volume.{kind}.{n}", f"{kind} polytope volume in dimension {n}",
-               partial(mc_volume, spec), volume_formula(spec))
-    for n in MC_CUBE_DIMENSIONS:
-        yield (f"cube.{n}", f"cube integral in dimension {n}",
-               partial(mc_cube_integral, n), s_value(n))
-
-
-def _montecarlo_pass(seed: int, samples: int, suffix: str) -> _Recorder:
-    rec = _Recorder()
-    for name, what, estimator, exact in _montecarlo_cases():
-        estimate = estimator(samples, seed)
-        rec.close(f"montecarlo.{name}{suffix}", f"{what} at {MC_SIGMAS} standard errors",
-                  exact.to_float(), estimate.mean, MC_SIGMAS * estimate.std_error)
-    return rec
-
-
-def _montecarlo_checks(rec: _Recorder, seed: int, samples: int) -> bool:
-    """Runs the Monte Carlo checks; retries once on seed+1 if any miss. Returns retry flag."""
-    checks = _montecarlo_pass(seed, samples, "")
-    retried = any(check.status == "fail" for check in checks)
-    if retried:
-        checks = _montecarlo_pass(seed + 1, samples, ".retry")
-    rec.extend(checks)
-    return retried
+def _montecarlo_checks(seed: int, samples: int, suffix: str):
+    """One pass of the Monte Carlo checks on one seed, each id ending in suffix."""
+    cases = [(f"volume.{kind}.{n}", f"{kind} polytope volume in dimension {n}",
+              volume_formula, mc_volume, PolytopeSpec(kind, n, "half_pi")) for kind, n in MC_VOLUME_CASES]
+    cases += [(f"cube.{n}", f"cube integral in dimension {n}", s_value, mc_cube_integral, n)
+              for n in MC_CUBE_DIMENSIONS]
+    for name, what, exact_route, estimator, arg in cases:
+        exact = exact_route(arg)
+        estimate = estimator(arg, samples, seed)
+        yield _within(f"montecarlo.{name}{suffix}", f"{what} at {MC_SIGMAS} standard errors",
+                      exact.to_float(), estimate.mean, MC_SIGMAS * estimate.std_error)
 
 
 def _montecarlo_false_fail() -> dict:
@@ -327,34 +296,30 @@ def _montecarlo_false_fail() -> dict:
     return {"per_pass": float(f"{per_pass:.2g}"), "report": float(f"{per_pass**2:.2g}")}
 
 
-def _spectral_checks(rec: _Recorder, grid: int) -> None:
+def _spectral_checks(grid: int):
     # The closed-form spectrum reads only the grid size, so no dense matrix
     # is assembled for it; the three traces share one kernel and one square.
     spectrum = sym_eigenvalues(nystrom_matrix(grid), grid)
     top = spectrum[:SPECTRAL_RANKS]
     for rank, approx in enumerate(top):
         exact_value = exact_eigenvalue(rank)
-        rec.close(f"spectral.eigenvalue.{rank}",
-                  f"Nystrom eigenvalue of rank {rank} within 1% at N={grid}",
-                  exact_value, approx, 0.01 * abs(exact_value))
+        yield _within(f"spectral.eigenvalue.{rank}", f"Nystrom eigenvalue of rank {rank} within 1% at N={grid}",
+                      exact_value, approx, 0.01 * abs(exact_value))
     gaps_ok = all(
         abs(top[i] - top[j]) > 10 * 0.01 * max(abs(exact_eigenvalue(i)), abs(exact_eigenvalue(j)))
         for i in range(SPECTRAL_RANKS) for j in range(i + 1, SPECTRAL_RANKS)
     )
-    rec.exact("spectral.multiplicity", "top eigenvalues pairwise distinct beyond tolerance",
-              True, gaps_ok)
+    yield _exact("spectral.multiplicity", "top eigenvalues pairwise distinct beyond tolerance", True, gaps_ok)
     for n, trace in zip((2, 3, 4), nystrom_traces(grid)):
         exact_value = s_value(n).to_float()
-        rec.close(f"spectral.trace.{n}",
-                  f"trace of the {n}-th matrix power within 1% of S({n}) at N={grid}",
-                  exact_value, trace, 0.01 * exact_value)
-        rec.close(f"spectral.spectral_sum.{n}",
-                  f"power-{n} eigenvalue sum matches the matrix-power trace",
-                  trace, math.fsum(v**n for v in spectrum), 1e-8)
+        yield _within(f"spectral.trace.{n}", f"trace of the {n}-th matrix power within 1% of S({n}) at N={grid}",
+                      exact_value, trace, 0.01 * exact_value)
+        yield _within(f"spectral.spectral_sum.{n}", f"power-{n} eigenvalue sum matches the matrix-power trace",
+                      trace, math.fsum(v**n for v in spectrum), 1e-8)
     for k in (0, -1, 1):
-        rec.below(f"spectral.residual.{k}",
-                  f"eigenrelation residual for mode k={k} at N=1000",
-                  eigenfunction_residual(k, 1000), 1e-4)
+        residual = eigenfunction_residual(k, 1000)
+        yield CheckResult(f"spectral.residual.{k}", f"eigenrelation residual for mode k={k} at N=1000",
+                          "pass" if residual < 1e-4 else "fail", "< 0.0001", str(residual), "0.0001")
 
 
 def run_suite(
@@ -370,19 +335,22 @@ def run_suite(
     if suite in ("montecarlo", "all"):
         _check_run(samples, seed)
     if suite in ("spectral", "all") and grid < SPECTRAL_RANKS:
-        raise ValueError(
-            f"the spectral checks need a grid of at least {SPECTRAL_RANKS}, not {grid}"
-        )
-    rec = _Recorder()
+        raise ValueError(f"the spectral checks need a grid of at least {SPECTRAL_RANKS}, not {grid}")
+    checks: list[CheckResult] = []
     retried = False
     if suite in ("exact", "all"):
-        _exact_checks(rec)
+        checks += _exact_checks()
     if suite in ("numeric", "all"):
-        _numeric_checks(rec)
+        checks += _numeric_checks()
     if suite in ("montecarlo", "all"):
-        retried = _montecarlo_checks(rec, seed, samples)
+        first = list(_montecarlo_checks(seed, samples, ""))
+        retried = any(check.status == "fail" for check in first)
+        checks += _montecarlo_checks(seed + 1, samples, ".retry") if retried else first
     if suite in ("spectral", "all"):
-        _spectral_checks(rec, grid)
+        checks += _spectral_checks(grid)
+    ids = [check.id for check in checks]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"duplicate check id {next(i for i in ids if ids.count(i) > 1)}")
     metadata = {
         "suite": suite,
         "seed": seed,
@@ -393,4 +361,4 @@ def run_suite(
         "version": __version__,
         "notes": list(CORRECTION_NOTES),
     }
-    return VerificationReport(checks=list(rec), metadata=metadata)
+    return VerificationReport(checks=checks, metadata=metadata)

@@ -217,6 +217,25 @@ class TestTables:
         assert payload["euler"]["8"] == "1385"
         assert payload["zigzag"]["9"] == "7936"
 
+    def test_tables_and_verify_exact_read_one_copy(self, capsys, monkeypatch):
+        # Moving the zigzag entry from n = 1..10 to n = 2..11 moves the rows
+        # tables prints and the exact.zigzag.* checks of verify alike.
+        tables = list(report.TABLES)
+        index = [entry[0] for entry in tables].index("zigzag")
+        name, description, route, values = tables[index]
+        values = {n: values[n] for n in range(2, 11)} | {11: 353792}
+        tables[index] = (name, description, route, values)
+        monkeypatch.setattr(report, "TABLES", tuple(tables))
+        code, out, _ = run(capsys, "tables", "--json")
+        assert code == 0
+        assert json.loads(out)["zigzag"] == {str(n): str(v) for n, v in values.items()}
+        code, out, _ = run(capsys, "verify", "exact", "--json")
+        assert code == 0
+        checks = [c for c in json.loads(out)["checks"] if c["id"].startswith("exact.zigzag.")]
+        assert [(c["id"], c["expected"], c["actual"]) for c in checks] == [
+            (f"exact.zigzag.{n}", str(v), str(v)) for n, v in values.items()
+        ]
+
 
 class TestVolume:
     def test_exact_cyclic(self, capsys):

@@ -11,7 +11,6 @@ from zigzagsums.report import (
     CheckResult,
     SUITES,
     VerificationReport,
-    _Recorder,
     run_suite,
 )
 
@@ -159,11 +158,26 @@ class TestMonteCarloSuite:
         assert cli.main(["verify", "montecarlo", "--samples", "50000", "--quiet"]) == 1
         assert capsys.readouterr().out == "2 passed, 5 failed\n"
 
-    def test_repeated_check_id_refused(self):
-        rec = _Recorder()
-        rec.exact("a", "first", 1, 1)
-        with pytest.raises(ValueError, match="^duplicate check id a$"):
-            rec.close("a", "second", 1.0, 1.0, 0.0)
+    def test_repeated_check_id_refused(self, monkeypatch):
+        # run_suite refuses a repeated id over the whole report: within one
+        # suite, within the Monte Carlo pass, and between an earlier suite
+        # and the Monte Carlo checks.
+        def stub(check_id):
+            return CheckResult(check_id, "stub", "pass", "1", "1", "exact")
+
+        monkeypatch.setattr(report_module, "_numeric_checks", lambda *args: iter(()))
+        monkeypatch.setattr(report_module, "_spectral_checks", lambda *args: iter(()))
+        cases = [
+            ("exact", ["a", "a"], report_module.MC_VOLUME_CASES),
+            ("montecarlo", [], (("cyclic", 2), ("chain", 3), ("cyclic", 2))),
+            ("all", ["montecarlo.cube.3"], report_module.MC_VOLUME_CASES),
+        ]
+        for suite, exact_ids, volume_cases in cases:
+            monkeypatch.setattr(report_module, "_exact_checks", lambda *args: map(stub, exact_ids))
+            monkeypatch.setattr(report_module, "MC_VOLUME_CASES", volume_cases)
+            repeated = exact_ids[-1] if exact_ids else "montecarlo.volume.cyclic.2"
+            with pytest.raises(ValueError, match=f"^duplicate check id {repeated}$"):
+                run_suite(suite, samples=10**4)
 
 
 class TestSpectralSuite:

@@ -225,8 +225,9 @@ class TestBruteForceIndependence:
         monkeypatch.setattr(special_numbers, "bernoulli", refuse)
         monkeypatch.setattr(special_numbers, "_CACHE", _Refused())
         _leaf_counts.cache_clear()
-        assert {n: zigzag_bruteforce(n) for n in range(1, 11)} == report.ZIGZAG_TABLE
-        assert {n: cyclic_zigzag_bruteforce(n) for n in range(2, 11, 2)} == report.CYCLIC_ZIGZAG_TABLE
+        tables = {name: values for name, _, _, values in report.TABLES}
+        assert {n: zigzag_bruteforce(n) for n in range(1, 11)} == tables["zigzag"]
+        assert {n: cyclic_zigzag_bruteforce(n) for n in range(2, 11, 2)} == tables["cyclic_zigzag"]
 
 
 class TestEulerNumbers:

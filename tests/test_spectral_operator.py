@@ -449,6 +449,19 @@ class TestEigenfunctionResidual:
         assert math.isfinite(residual)
         assert abs(residual - _residual_oracle(k, N)) <= _residual_rounding_bound(k, N)
 
+    @pytest.mark.parametrize("N", [100, 1000])
+    def test_mode_above_cap_refused(self, N):
+        # At k = 10^15 the closed form returned 69.07 (N = 100) and 954.5
+        # (N = 1000), above the pi/2 that bounds every midpoint sum.
+        limit = int(2**32 / math.pi)
+        assert 4 * 10**6 + 1 < limit < 4 * 10**15
+        for k in (10**15, -(10**15), (limit - 1) // 4 + 1, -((limit + 1) // 4) - 1):
+            with pytest.raises(ValueError, match="^the residual needs "):
+                eigenfunction_residual(k, N)
+        for k in ((limit - 1) // 4, -((limit + 1) // 4)):
+            assert abs(4 * k + 1) <= limit
+            assert 0.0 <= eigenfunction_residual(k, N) <= math.pi / 2 + 1 / abs(4 * k + 1)
+
     def test_memory_linear_in_grid(self):
         # at most 16 arrays of N doubles, where one 256-row block of the
         # N x N cosines took 256 (6 MB at N = 3000)

@@ -147,57 +147,167 @@ def s_value(n: int) -> PiMultiple:
     return PiMultiple(s_coeff(n), n)
 
 
-# _fsum_with_stop draws only a head of its terms once a bound proves that the
-# rest is at most _REST_LIMIT, and only if that head has at most _HEAD_LIMIT
-# terms (2^16 floats, about 2 MB); otherwise it streams every term.
-_REST_LIMIT = 2.0**-64
+# _fsum_with_stop draws only a head of its terms once the interval that holds
+# the rest is at most _REST_LIMIT wide (about 2^-11 of an ulp of 1), and only
+# if that head has at most _HEAD_LIMIT terms (2^16 floats, about 2 MB);
+# otherwise it streams every term.
+_REST_LIMIT = 2.0**-63
 _HEAD_LIMIT = 2**16
 
 
 def _fsum_with_stop(
-    terms: Iterator[float], count: int, rest_bound: Callable[[int], float], last: float
+    terms: Iterator[float],
+    count: int,
+    rest: Callable[[int], tuple[float, float]],
+    finish: Callable[[float], float],
 ) -> float:
-    """math.fsum(terms) + last, drawing only a head of the terms where that is provably the same double.
+    """finish(math.fsum(terms)), drawing only a head of the terms where that is provably the same double.
 
-    ``terms`` yields ``count`` floats; ``rest_bound(h)`` must bound, in
-    exact arithmetic and with a factor 2 to spare for rounding, the
-    magnitude of the sum of the floats after the first h.  The head is the
-    least h < count, h <= _HEAD_LIMIT, with R(h) <= _REST_LIMIT, found by
-    bisection on the closed form (R decreases in h), where
+    ``terms`` yields ``count`` floats.  For 1 <= h < count, ``rest(h)``
+    returns floats (lo, hi) with lo <= T - H <= hi in exact arithmetic,
+    where T and H are the exact sums of all the floats and of the first h.
+    ``finish`` is monotone: s <= t gives finish(s) <= finish(t).  The head
+    is the least h < count, h <= _HEAD_LIMIT, whose padded interval
 
-        R(h) = rest_bound(h) + (count - h + 1) * 2^-1060.
+        [lo - P(h), hi + P(h)],   P(h) = (count - h + 1) * 2^-1060,
 
-    The second part covers underflow, which the factor 2 does not: a
-    subnormal term can be off by up to 2^-1073 beyond its relative
-    rounding, and a subnormal bound by up to 2^-1065 (the callers' bounds
-    divide by at most 100 wherever they underflow at h <= _HEAD_LIMIT).
-    So the exact sum T of all the terms lies in [H - R, H + R], with H the
-    exact sum of the head.  math.fsum is correctly rounded and
-    x -> fl(x + last) is monotone, so fl(fsum(T) + last) lies between
-    lo = fl(fsum(head, -R) + last) and hi = fl(fsum(head, +R) + last).
-    When lo == hi that is the value, and the rest is never drawn; otherwise
-    the rest is drawn and summed with the head, which gives the same double
-    as summing the whole stream.
+    is at most _REST_LIMIT wide, found by doubling h from 1 and then
+    bisecting (the width decreases in h), so a short head costs few calls
+    of ``rest``.
+
+    P covers underflow, which the callers' relative error bounds do not.  A
+    streamed term of s_numeric, parseval_sum or g_eval that is subnormal,
+    or comes from a subnormal power, is off by at most 2^-1072 beyond its
+    relative error: a pow within 1 ulp is off by up to 2^-1074 there, one
+    more rounding by 2^-1075, and g_eval multiplies its power by a float
+    S(k) below 2.  The extra 2^-1060 covers g_eval's bound, which divides
+    by 1 - |z| > 1/100 wherever it underflows at h <= _HEAD_LIMIT.
+    ``_power_sum_interval`` pads its own underflow.
+
+    math.fsum is correctly rounded, so fl(finish(fsum(T))) lies between
+    lo' = fl(finish(fsum(head, lo - P))) and
+    hi' = fl(finish(fsum(head, hi + P))).  When lo' == hi' that is the
+    value, and the rest is never drawn; otherwise the rest is drawn and
+    summed with the head, which gives the same double as summing the whole
+    stream.
     """
 
-    def bound(h: int) -> float:
-        return rest_bound(h) + (count - h + 1) * 2.0**-1060
+    def pad(h: int) -> float:
+        return (count - h + 1) * 2.0**-1060
 
-    lower, h = 0, min(count - 1, _HEAD_LIMIT)
-    if h < 1 or bound(h) > _REST_LIMIT:
-        return math.fsum(terms) + last
-    while h - lower > 1:  # invariant: bound(h) <= _REST_LIMIT
+    def width(h: int) -> float:
+        lo, hi = rest(h)
+        return hi - lo + 2 * pad(h)
+
+    top = min(count - 1, _HEAD_LIMIT)
+    if top < 1:
+        return finish(math.fsum(terms))
+    lower, h = 0, 1
+    while width(h) > _REST_LIMIT:
+        if h == top:
+            return finish(math.fsum(terms))
+        lower, h = h, min(2 * h, top)
+    while h - lower > 1:  # invariant: width(h) <= _REST_LIMIT
         mid = (lower + h) // 2
-        if bound(mid) <= _REST_LIMIT:
+        if width(mid) <= _REST_LIMIT:
             h = mid
         else:
             lower = mid
     head = list(islice(terms, h))
-    r = bound(h)
-    lo = math.fsum([*head, -r]) + last
-    if lo == math.fsum([*head, r]) + last:
-        return lo
-    return math.fsum(chain(head, terms)) + last
+    lo, hi = rest(h)
+    low = finish(math.fsum([*head, lo, -pad(h)]))
+    if low == finish(math.fsum([*head, hi, pad(h)])):
+        return low
+    return finish(math.fsum(chain(head, terms)))
+
+
+def _outward(lo_parts: list[float], hi_parts: list[float]) -> tuple[float, float]:
+    """Floats (lo, hi) with lo <= sum(lo_parts) and sum(hi_parts) <= hi in exact arithmetic.
+
+    math.fsum rounds each exact sum correctly, so one float outward covers it.
+    """
+    return math.nextafter(math.fsum(lo_parts), -math.inf), math.nextafter(math.fsum(hi_parts), math.inf)
+
+
+def _power_sum_interval(m: int, c: int, a: int, b: int) -> tuple[float, float]:
+    """Floats (lo, hi) that hold sum_{k=a}^{b} (4k + c)^-m in exact arithmetic.
+
+    For c = +-1, m >= 2 and a >= 1; an empty sum (a > b) is (0.0, 0.0).
+
+    Euler-Maclaurin through the B_2 term, for f(t) = (4t + c)^-m and the
+    ends x = 4a + c, y = 4b + c:
+
+        sum = E - theta T  for some 0 <= theta <= 1,
+        E = (x^(1-m) - y^(1-m)) / (4(m-1)) + (x^-m + y^-m) / 2
+            + (m/3) (x^(-m-1) - y^(-m-1)),
+        T = (4/45) m (m+1) (m+2) (x^(-m-3) - y^(-m-3)) >= 0.
+
+    The pieces of E are the integral of f over [a, b], (f(a) + f(b))/2, and
+    (B_2/2!) (f'(b) - f'(a)) with f'(t) = -4m (4t + c)^(-m-1).  The j-th
+    derivative of f is (-4)^j m (m+1) ... (m+j-1) (4t + c)^(-m-j), and
+    4t + c >= 3 on [a, b], so the 4th and 6th derivatives are both
+    positive there.  Then the remainder is theta times the B_4 term,
+    (B_4/4!) (f'''(b) - f'''(a)) = -T (Graham, Knuth and Patashnik,
+    Concrete Mathematics, section 9.5), and the sum lies in [E - T, E].
+
+    Rounding.  Each of the eight pieces (four per end) is a libm pow within
+    1 ulp (2u, u = 2^-53) followed by at most five roundings of u, so it is
+    within 7u of its exact value while its base is an exact float
+    (z <= 2^53) and m < 2^51, so that 4(m-1), m, m+1 and m+2 are exact too.
+    A base above 2^53 is itself rounded by up to u, which moves its j-th
+    power (j <= m+3) by up to 1.01 j u more; (m + 8) 8u covers that.  The
+    error is bounded relative to the summed magnitudes of the pieces, not
+    of E: where b is near a the pieces cancel, and an error relative to the
+    result would not cover them.  A subnormal power is off by up to 2^-1074
+    absolute instead, which the products after it multiply by at most
+    (m+2)^3 / 11, and each operation with a subnormal result adds at most
+    2^-1075; the eight pieces stay within (m+2)^3 2^-1071 of that kind,
+    and the pad takes (m+2)^3 2^-1066.  For m >= 2^51 every exact power is
+    below 3^(-2^51), far under 2^-1074, so that pad covers it as well.
+    Each end is one math.fsum of the pieces and the pad, one float outward.
+    """
+    if a > b:
+        return 0.0, 0.0
+
+    def pieces(z: int) -> tuple[float, float, float, float]:
+        return (
+            pow(z, 1 - m) / (4 * (m - 1)),
+            pow(z, -m) / 2,
+            pow(z, -m - 1) * m / 3,
+            pow(z, -m - 3) * m * (m + 1) * (m + 2) * (4 / 45),
+        )
+
+    def rel(z: int) -> float:
+        return 2.0**-50 if z <= 2**53 else (m + 8) * 2.0**-50
+
+    x, y = 4 * a + c, 4 * b + c
+    (ix, hx, dx, tx), (iy, hy, dy, ty) = pieces(x), pieces(y)
+    err = (
+        rel(x) * (ix + hx + dx + tx)
+        + rel(y) * (iy + hy + dy + ty)
+        + 2.0**-1066 * (m + 2.0) * (m + 2.0) * (m + 2.0)
+    )
+    e = [ix, -iy, hx, hy, dx, -dy]
+    return _outward([*e, -tx, ty, -err], [*e, err])
+
+
+def _lattice_rest(m: int, a_plus: int, a_minus: int, b: int, rel: float) -> tuple[float, float]:
+    """An interval that holds every sum of floats t_k, one per term of
+
+        sum_{k=a_plus}^{b} (4k+1)^-m + (-1)^m sum_{k=a_minus}^{b} (4k-1)^-m,
+
+    with each t_k within rel times the magnitude of its exact term.
+
+    The magnitudes sum to at most M, the sum of the two sides' upper ends,
+    so the floats' sum is within rel M of the exact one.  Each caller's rel
+    has a unit or more to spare for the rounding of rel M.
+    """
+    plus_lo, plus_hi = _power_sum_interval(m, 1, a_plus, b)
+    minus_lo, minus_hi = _power_sum_interval(m, -1, a_minus, b)
+    pad = (plus_hi + minus_hi) * rel
+    if m % 2:
+        minus_lo, minus_hi = -minus_hi, -minus_lo
+    return _outward([plus_lo, minus_lo, -pad], [plus_hi, minus_hi, pad])
 
 
 class SNumeric(NamedTuple):
@@ -218,17 +328,19 @@ def s_numeric(n: int, K: int) -> SNumeric:
     numpy's vectorised power is not used: it differs from libm in the last
     bit of some terms.
 
-    The value is fsum(pairs) + 1.0 bit for bit, but for n >= 5 only the
-    first few pairs are drawn (28 at n = 10, 11586 at n = 5), since the rest
-    provably cannot change the double (``_fsum_with_stop``).  The bound on
-    the pairs after the first h is R(h) = (4h - 1)^(1-n) / (n - 1):
-    (4k + 1)^(-n) <= (4k - 1)^(-n) <= the integral of (4x - 1)^(-n) over
-    [k - 1, k], so both halves of the pairs k > h sum to at most
-    (4h - 1)^(1-n) / (4(n - 1)) each, half of R(h).  The other half covers
-    each pow's error (under 1 ulp), the rounding of each pair and of R
-    itself, all relative errors near 2^-52.  n = 2, 3 and 4 need more than
-    _HEAD_LIMIT pairs for R to reach 2^-64 and stream every pair, so the
-    work there still grows with K; the stored head depends on n alone.
+    The value is fsum(pairs) + 1.0 bit for bit, but only a head of the
+    pairs is drawn, since the rest provably cannot change the double
+    (``_fsum_with_stop``): at K = 10^5, 3935 pairs at n = 2, 537 at n = 3,
+    198 at n = 4, 92 at n = 5 and 10 at n = 10.  The pairs after the first h
+    are the terms of sum_{k>h} (4k+1)^-n + (-1)^n sum_{k>h} (4k-1)^-n up to
+    k = K, and ``_lattice_rest`` brackets their sum from both sides by
+    Euler-Maclaurin.  Each pair float is within 3.01u (u = 2^-53) of the
+    magnitudes of its two exact terms: each pow within 1 ulp (2u), the add
+    one rounding of u.  The bracket takes 4u, and where 4K + 1 passes 2^53,
+    so that 4k +- 1 is a rounded float, (n + 3) 4u, which also covers
+    that rounding raised to the n-th power.  The head at n >= 3 depends on
+    n alone; at n = 2 the rounding pad, relative to the rest up to K, grows
+    with K, and so does the head (4096 pairs at K = 10^15).
     """
     if n < 2:
         raise ValueError("direct summation requires n >= 2")
@@ -239,7 +351,8 @@ def s_numeric(n: int, K: int) -> SNumeric:
         map(pow, range(5, 4 * K + 2, 4), repeat(-n)),  # 4k + 1 for k = 1..K
         map(pow, range(-3, -4 * K, -4), repeat(-n)),  # 1 - 4k
     )
-    value = _fsum_with_stop(pairs, K, lambda h: (4 * h - 1.0) ** (1 - n) / (n - 1), 1.0)
+    rel = 2.0**-51 if 4 * K + 1 <= 2**53 else (n + 3) * 2.0**-51
+    value = _fsum_with_stop(pairs, K, lambda h: _lattice_rest(n, h + 1, h + 1, K, rel), lambda s: s + 1.0)
     tail_bound = (4 * K - 3.0) ** (1 - n) / (2 * (n - 1))
     return SNumeric(value, tail_bound)
 
@@ -278,10 +391,16 @@ def g_eval(z: float, terms: int) -> GEval:
         raise ValueError("terms must be positive")
     closed = (math.pi * z / 4) * (1 / math.cos(math.pi * z / 2) + math.tan(math.pi * z / 2))
     powers = (z**k for k in range(1, terms + 1))
+    tail = z ** (terms + 1) / (1 - z)
+
+    def rest(h: int) -> tuple[float, float]:
+        bound = math.pi**2 / 4 * abs(z) ** (h + 1) / (1 - abs(z))
+        return -bound, bound
+
     series = _fsum_with_stop(
         (s_value(k).to_float() * p if p else p for k, p in enumerate(powers, 1)),
         terms,
-        lambda h: math.pi**2 / 4 * abs(z) ** (h + 1) / (1 - abs(z)),
-        z ** (terms + 1) / (1 - z),
+        rest,
+        lambda s: s + tail,
     )
     return GEval(closed, series)

@@ -38,10 +38,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import truediv
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
+from .euler_sums import _fsum_with_stop, _lattice_rest, _outward
 from .exact_arith import PiPoly, VPiPoly
 
 if TYPE_CHECKING:
@@ -194,16 +195,44 @@ def parseval_sum(n: int, K: int) -> float:
     vectorised power is not used: it differs from libm in the last bit of
     some terms.  For n = 0 the division by (4k+1)^0 = 1.0, which is exact,
     is skipped.
+
+    The terms stream from the centre out, k = 0, 1, -1, 2, -2, ..., and the
+    value is (pi/4) fsum(terms) bit for bit: math.fsum is correctly rounded
+    in any order.  Only a head is drawn, since the rest provably cannot
+    change the double (``_fsum_with_stop``): 19208 of the 200001 terms at
+    n = 0, K = 10^5 and 1164 of the 20001 at n = 1, K = 10^4.  After h
+    terms the positive side resumes at k = floor(h/2) + 1 and the negative
+    side at k = -(floor((h-1)/2) + 1).  With q = fl(4/pi), the term of k
+    is q^2 (4k+1)^-(n+2) in exact arithmetic, so the rest is q^2 times
+    ``_lattice_rest(n + 2, ...)``.  Each term float is within 7.02u
+    (u = 2^-53) of its exact value: the division by 4k+1 one rounding,
+    the square a pow within 1 ulp (2u) of a value already off by 2u, the
+    power (4k+1)^n a pow within 1 ulp, and the division by it one more
+    rounding.  The bracket takes 8u; where 4K + 1 passes 2^53, so that
+    4k + 1 is a rounded float, it takes (n + 2) 8u, which also covers that
+    rounding in the square and in the n-th power.  The product by q^2 is
+    evaluated as (lo q) q, within 2.01u, and stepped out by 4u.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    bases = range(1 - 4 * K, 4 * K + 2, 4)  # 4k + 1 for k = -K..K
-    terms = map(pow, map(truediv, repeat(4.0 / math.pi), bases), repeat(2))
+    q = 4.0 / math.pi
+
+    def bases() -> Iterator[int]:  # 4k + 1 for k = 0, 1, -1, 2, -2, ..., K, -K
+        return chain((1,), chain.from_iterable(zip(range(5, 4 * K + 2, 4), range(-3, -4 * K, -4))))
+
+    terms = map(pow, map(truediv, repeat(q), bases()), repeat(2))
     if n:
-        terms = map(truediv, terms, map(pow, bases, repeat(float(n))))
-    return (math.pi / 4) * math.fsum(terms)
+        terms = map(truediv, terms, map(pow, bases(), repeat(float(n))))
+    rel = 2.0**-50 if 4 * K + 1 <= 2**53 else (n + 2) * 2.0**-50
+
+    def rest(h: int) -> tuple[float, float]:
+        lo, hi = _lattice_rest(n + 2, h // 2 + 1, (h - 1) // 2 + 1, K, rel)
+        lo, hi = lo * q * q, hi * q * q
+        return _outward([lo, -abs(lo) * 2.0**-51], [hi, abs(hi) * 2.0**-51])
+
+    return _fsum_with_stop(terms, 2 * K + 1, rest, lambda s: (math.pi / 4) * s)
 
 
 def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:

@@ -140,20 +140,20 @@ class TestSNumeric:
         assert s_numeric(n, 1000).value.hex() == self._per_term_sum(n, 1000).hex()
 
     @staticmethod
-    def _count_pow(monkeypatch):
-        """Count the libm pow calls of s_numeric: two per pair drawn."""
+    def _count_pairs(monkeypatch):
+        """Count the pairs s_numeric draws: one float add per pair."""
         calls = [0]
 
-        def counting_pow(base, exp):
+        def counting_add(x, y):
             calls[0] += 1
-            return pow(base, exp)
+            return x + y
 
-        monkeypatch.setattr(euler_sums, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(euler_sums, "add", counting_add)
         return calls
 
     def test_forced_fallback_keeps_bits(self, monkeypatch):
-        # A rest bound of up to 1 never pins the double, so every sum with a
-        # head takes the fallback: the head chained with the rest of the stream.
+        # A rest interval up to 1 wide never pins the double, so every sum with
+        # a head takes the fallback: the head chained with the rest of the stream.
         monkeypatch.setattr(euler_sums, "_REST_LIMIT", 1.0)
         fallbacks = [0]
 
@@ -162,16 +162,36 @@ class TestSNumeric:
             return itertools.chain(*iterables)
 
         monkeypatch.setattr(euler_sums, "chain", counting_chain)
-        cases = [(n, K) for n in range(5, 13) for K in (33, 1000, 10**5)]
+        cases = [(n, K) for n in range(2, 13) for K in (33, 1000, 10**5)]
         for n, K in cases:
             assert s_numeric(n, K).value.hex() == self._per_term_sum(n, K).hex()
         assert fallbacks[0] == len(cases)
 
     @pytest.mark.parametrize("n", range(2, 5))
-    def test_small_n_streams_every_pair(self, monkeypatch, n):
-        calls = self._count_pow(monkeypatch)
-        s_numeric(n, 1000)
-        assert calls[0] == 2 * 1000
+    def test_small_n_draws_short_head(self, monkeypatch, n):
+        # the two-sided rest pins the double after under 4% of the pairs
+        calls = self._count_pairs(monkeypatch)
+        value = s_numeric(n, 10**5).value
+        assert 0 < calls[0] < 4000
+        assert value.hex() == self._per_term_sum(n, 10**5).hex()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 20])
+    def test_rest_interval_holds_float_tail(self, monkeypatch, n):
+        # every rest(h) holds the exact sum of the pair floats after the first h
+        rests = []
+        real = euler_sums._fsum_with_stop
+
+        def spy(terms, count, rest, finish):
+            rests.append(rest)
+            return real(terms, count, rest, finish)
+
+        monkeypatch.setattr(euler_sums, "_fsum_with_stop", spy)
+        K = 60
+        s_numeric(n, K)
+        pairs = [(4 * k + 1.0) ** -n + (1.0 - 4 * k) ** -n for k in range(1, K + 1)]
+        for h in range(1, K):
+            lo, hi = rests[0](h)
+            assert Fraction(lo) <= sum(map(Fraction, pairs[h:])) <= Fraction(hi), h
 
     def test_huge_truncation_returns_fast(self):
         start = time.perf_counter()
@@ -179,27 +199,73 @@ class TestSNumeric:
         assert time.perf_counter() - start < 0.5
         assert value.hex() == s_numeric(8, 10**5).value.hex()
 
-    @pytest.mark.parametrize("n", range(5, 11))
+    # K = 10^17 puts 4K + 1 past 2^53, where 4k +- 1 are rounded floats
+    @pytest.mark.parametrize("K", [10**15, 10**17])
+    def test_huge_truncation_of_slow_sum_returns_fast(self, K):
+        # streaming 10^15 or more pairs of S(2) would take days
+        start = time.perf_counter()
+        value, tail = s_numeric(2, K)
+        assert time.perf_counter() - start < 0.5
+        # the rest of the gap is the rounding of the terms and of pi^2/8
+        assert abs(value - math.pi**2 / 8) <= tail + 2 * math.ulp(value)
+
+    @pytest.mark.parametrize("n", range(3, 11))
     def test_early_exit_head_depends_on_n_alone(self, monkeypatch, n):
-        calls = self._count_pow(monkeypatch)
+        # n = 2 is left out: its rounding pad scales with the rest up to K,
+        # so its head grows slightly with K (3935 pairs at 10^5, 4096 at 10^15)
+        calls = self._count_pairs(monkeypatch)
         drawn = []
         for K in (10**5, 10**6, 10**15):
             calls[0] = 0
             s_numeric(n, K)
             drawn.append(calls[0])
-        assert 0 < drawn[0] < 2 * 10**5
-        assert drawn[0] == drawn[1] == drawn[2] <= 2 * euler_sums._HEAD_LIMIT
+        assert 0 < drawn[0] < 10**5
+        assert drawn[0] == drawn[1] == drawn[2] <= euler_sums._HEAD_LIMIT
 
     def test_head_never_passes_limit(self, monkeypatch):
-        # n = 8 needs a head of about 100 pairs: above a limit of 64 it
+        # n = 2 needs a head of about 4000 pairs: above a limit of 1000 it
         # streams every pair instead of storing a longer head.
-        monkeypatch.setattr(euler_sums, "_HEAD_LIMIT", 64)
-        calls = self._count_pow(monkeypatch)
-        s_numeric(8, 1000)
-        assert calls[0] == 2 * 1000
+        monkeypatch.setattr(euler_sums, "_HEAD_LIMIT", 1000)
+        calls = self._count_pairs(monkeypatch)
+        assert s_numeric(2, 10**5).value.hex() == self._per_term_sum(2, 10**5).hex()
+        assert calls[0] == 10**5
         calls[0] = 0
-        s_numeric(10, 1000)
-        assert calls[0] <= 2 * 64
+        assert s_numeric(4, 10**5).value.hex() == self._per_term_sum(4, 10**5).hex()
+        assert calls[0] <= 1000
+
+
+class TestPowerSumInterval:
+    """_power_sum_interval against the exact Fraction sum."""
+
+    @staticmethod
+    def _assert_holds(m, c, a, b):
+        lo, hi = euler_sums._power_sum_interval(m, c, a, b)
+        exact = sum(Fraction(1, (4 * k + c) ** m) for k in range(a, b + 1))
+        assert Fraction(lo) <= exact <= Fraction(hi), (m, c, a, b)
+
+    @pytest.mark.parametrize("m", [*range(2, 13), 20, 40])
+    def test_holds_exact_sum(self, m):
+        for c in (1, -1):
+            for a in (1, 2, 7, 1000):
+                for b in (a, a + 1, a + 300):
+                    self._assert_holds(m, c, a, b)
+
+    @pytest.mark.parametrize(
+        "m,a,b", [(40, 10**8, 10**8), (40, 10**8, 10**8 + 1), (300, 1, 4), (450, 1, 2), (2000, 1, 2)]
+    )
+    def test_holds_where_powers_underflow(self, m, a, b):
+        # (4a+-1)^-40 is zero at a = 10^8; 5^-300 is normal and 17^-300 zero;
+        # 5^-450 is subnormal; every power of 3 or more to the 2000 is zero
+        for c in (1, -1):
+            self._assert_holds(m, c, a, b)
+
+    def test_is_tight_for_a_long_sum(self):
+        # far from underflow the interval is a few ulps of the rest wide
+        lo, hi = euler_sums._power_sum_interval(2, 1, 1000, 10**9)
+        assert 0 < hi - lo < 2**-40 * hi
+
+    def test_empty_sum(self):
+        assert euler_sums._power_sum_interval(5, 1, 11, 10) == (0.0, 0.0)
 
 
 class TestGEval:

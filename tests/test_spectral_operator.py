@@ -1,11 +1,14 @@
+import itertools
 import math
+import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zigzagsums import spectral_operator
+from zigzagsums import euler_sums, spectral_operator
 from zigzagsums.euler_sums import PiMultiple
 from zigzagsums.exact_arith import HALF_PI, PiPoly, VPiPoly
 from zigzagsums.special_numbers import zigzag
@@ -200,6 +203,98 @@ class TestFourier:
     @pytest.mark.parametrize("n", range(6))
     def test_parseval_bit_identical_to_per_term_sum(self, n, K):
         assert parseval_sum(n, K).hex() == _parseval_oracle(n, K).hex()
+
+    @staticmethod
+    def _count_terms(monkeypatch):
+        """Count the Parseval terms drawn: one division of 4/pi per term."""
+        calls = [0]
+
+        def counting_truediv(x, y):
+            calls[0] += x == 4.0 / math.pi
+            return x / y
+
+        monkeypatch.setattr(spectral_operator, "truediv", counting_truediv)
+        return calls
+
+    def test_parseval_bit_identical_around_head(self, monkeypatch):
+        # For each n, K0 is the least K whose head is shorter than its 2K + 1
+        # terms: at K0 - 1 every term is drawn, from K0 on only a head (for
+        # n = 0, 6644 of the 6645 terms at K0 = 3322).  The heads drawn
+        # there take both parities.
+        calls = self._count_terms(monkeypatch)
+
+        def drawn(n, K):
+            calls[0] = 0
+            parseval_sum(n, K)
+            return calls[0]
+
+        parities = set()
+        for n in range(6):
+            lower, K0 = 0, 10**4
+            assert drawn(n, K0) < 2 * K0 + 1
+            while K0 - lower > 1:
+                mid = (lower + K0) // 2
+                if drawn(n, mid) < 2 * mid + 1:
+                    K0 = mid
+                else:
+                    lower = mid
+            for K in (K0 - 1, K0, K0 + 1, K0 + 2):
+                assert parseval_sum(n, K).hex() == _parseval_oracle(n, K).hex(), (n, K)
+                parities.add(drawn(n, K) % 2)
+        assert parities == {0, 1}
+
+    def test_parseval_bit_identical_at_random_truncations(self):
+        rng = random.Random(22)
+        for n in range(6):
+            for K in rng.sample(range(1, 5000), 4):
+                assert parseval_sum(n, K).hex() == _parseval_oracle(n, K).hex(), (n, K)
+
+    def test_parseval_forced_fallback_keeps_bits(self, monkeypatch):
+        # A rest interval up to 1 wide never pins the double, so every sum with
+        # a head takes the fallback: the head chained with the rest of the stream.
+        monkeypatch.setattr(euler_sums, "_REST_LIMIT", 1.0)
+        fallbacks = [0]
+
+        def counting_chain(*iterables):
+            fallbacks[0] += 1
+            return itertools.chain(*iterables)
+
+        monkeypatch.setattr(euler_sums, "chain", counting_chain)
+        cases = [(n, K) for n in range(6) for K in (5, 1000, 10**4)]
+        for n, K in cases:
+            assert parseval_sum(n, K).hex() == _parseval_oracle(n, K).hex(), (n, K)
+        assert fallbacks[0] == len(cases)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_parseval_rest_holds_float_tail(self, monkeypatch, n):
+        # The terms stream from the centre out, t_0, t_1, t_-1, t_2, ...; every
+        # rest(h), for odd and even h, holds the exact sum of the floats after h.
+        rests = []
+        real = spectral_operator._fsum_with_stop
+
+        def spy(terms, count, rest, finish):
+            rests.append(rest)
+            return real(terms, count, rest, finish)
+
+        monkeypatch.setattr(spectral_operator, "_fsum_with_stop", spy)
+        K = 30
+        parseval_sum(n, K)
+        order = [0] + [k for j in range(1, K + 1) for k in (j, -j)]
+        terms = [fourier_coeff_const(k) ** 2 / float(4 * k + 1) ** n for k in order]
+        for h in range(1, 2 * K + 1):
+            lo, hi = rests[0](h)
+            assert Fraction(lo) <= sum(map(Fraction, terms[h:])) <= Fraction(hi), h
+
+    # K = 10^17 puts 4K + 1 past 2^53, where 4k + 1 are rounded floats
+    @pytest.mark.parametrize("K", [10**15, 10**17])
+    def test_parseval_huge_truncation_returns_fast(self, K):
+        # streaming 2 * 10^15 + 1 or more terms would take days
+        start = time.perf_counter()
+        value = parseval_sum(0, K)
+        assert time.perf_counter() - start < 0.5
+        # (pi/4) (4/pi)^2 sum_{|k| > K} (4k+1)^-2 <= 2 / (pi (4K - 1)); the
+        # rest of the gap is the rounding of the terms, of 4/pi and of pi/2
+        assert abs(value - math.pi / 2) <= 2 / (math.pi * (4 * K - 1)) + 4 * math.ulp(value)
 
     def test_parseval_converges_to_inner_product(self):
         for n in (2, 3):

@@ -74,6 +74,11 @@ class PiMultiple:
         if self.coeff == 0:
             object.__setattr__(self, "power", 0)
 
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """The value as a sum of pi powers: ((power, coeff),), or () for zero."""
+        return ((self.power, self.coeff),) if self.coeff else ()
+
     def to_float(self) -> float:
         """coeff * pi^power in double precision, also where pi^power alone overflows.
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -125,10 +126,7 @@ def zigzag(n: int) -> int:
         raise ValueError("zigzag counts are indexed by n >= 0")
     cache = _CACHE
     while len(cache._row) <= n:
-        prev = cache._row[::-1]
-        row = [0]
-        for value in prev:
-            row.append(row[-1] + value)
+        row = list(accumulate(cache._row[::-1], initial=0))
         cache._row = row
         cache.zigzag[len(row) - 1] = row[-1]
     return cache.zigzag[n]

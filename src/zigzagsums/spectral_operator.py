@@ -6,9 +6,10 @@ Two complementary views are implemented:
   * exact: the operator maps polynomials homogeneous of degree d in
     (pi, v) to degree d + 1, so its iterates on the constant 1 are
     T^n 1 = (pi/2)^n q_n(2v/pi) with rational polynomials q_0 = 1 and
-    q_{n+1}(w) = integral of q_n over (0, 1 - w); these are iterated on
-    integer coefficients over one common denominator, and the iterates
-    (VPiPoly) and their inner products with 1 come out exact;
+    q_{n+1}(w) = integral of q_n over (0, 1 - w).  ``_iterate`` steps
+    ``exact_arith.VPiPoly`` from the constant 1, on integer coefficients
+    over one common denominator; ``t_power_one`` returns the iterate and
+    ``inner_product_one`` the single pi multiple (pi/2)^n q_n(0);
   * numeric: a midpoint-rule Nystrom matrix whose spectrum approximates the
     true eigenvalues 1/(4k+1) (eigenfunctions cos((4k+1)u)) and whose matrix
     powers approximate operator traces.  The spectrum of that matrix has a
@@ -42,8 +43,8 @@ from itertools import chain, repeat
 from operator import truediv
 from typing import TYPE_CHECKING, Iterator
 
-from .euler_sums import _fsum_with_stop, _lattice_rest, _outward
-from .exact_arith import PiPoly, VPiPoly
+from .euler_sums import PiMultiple, _fsum_with_stop, _lattice_rest, _outward
+from .exact_arith import VPiPoly
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,62 +120,41 @@ def nystrom_matrix(N: int) -> KernelMatrix:
     return KernelMatrix(N)
 
 
-def _q_iterate(n: int) -> tuple[list[int], int]:
-    """q_n as integer coefficients of w^0, w^1, ... over one common denominator.
-
-    Each step takes the antiderivative over the common denominator
-    lcm(1..deg+1), substitutes x = 1 - w by a Taylor shift done with
-    integer additions, and cancels the common content.
-    """
-    numerators, denominator = [1], 1
+def _iterate(n: int) -> VPiPoly:
+    """T^n 1, by n exact steps of the operator from the constant 1."""
+    value = VPiPoly.one()
     for _ in range(n):
-        scale = math.lcm(*range(1, len(numerators) + 1))
-        coeffs = [0] + [c * (scale // (i + 1)) for i, c in enumerate(numerators)]
-        denominator *= scale
-        degree = len(coeffs) - 1
-        for i in range(degree):  # coeffs of p(x) -> coeffs of p(x + 1)
-            for j in range(degree - 1, i - 1, -1):
-                coeffs[j] += coeffs[j + 1]
-        numerators = [-c if j % 2 else c for j, c in enumerate(coeffs)]  # x -> -w
-        common = math.gcd(denominator, *numerators)
-        numerators = [c // common for c in numerators]
-        denominator //= common
-    return numerators, denominator
+        value = value.integral_to_reflection()
+    return value
 
 
 def t_power_one(n: int) -> VPiPoly:
     """The n-th operator iterate applied to the constant 1, exactly.
 
-    The result has v-degree n and vanishes at v = pi/2 for n >= 1.  It is
-    (pi/2)^n q_n(2v/pi), whose v^i coefficient is q_{n,i} 2^(i-n) pi^(n-i).
+    The result is (pi/2)^n q_n(2v/pi) with q_n of degree n, so it has
+    v-degree n, and it vanishes at v = pi/2 (q_n(1) = 0) for n >= 1.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > T_POWER_LIMIT:
         raise ValueError(f"exact iterates are capped at n <= {T_POWER_LIMIT}")
-    numerators, denominator = _q_iterate(n)
-    return VPiPoly(
-        tuple(
-            (i, PiPoly.pi_power(n - i, Fraction(c * 2**i, denominator * 2**n)))
-            for i, c in enumerate(numerators)
-        )
-    )
+    return _iterate(n)
 
 
-def inner_product_one(n: int) -> PiPoly:
+def inner_product_one(n: int) -> PiMultiple:
     """Exact inner product of 1 with the (n-1)-th operator iterate of 1.
 
     The integral of (pi/2)^(n-1) q_(n-1)(2v/pi) over (0, pi/2) is
-    (pi/2)^n q_n(0).  It equals the pure monomial (A(n)/n!) (pi/2)^n, which
-    ties the operator route to the zigzag counts; the test suite checks
-    that identity in exact arithmetic.
+    (pi/2)^n q_n(0).  It equals (A(n)/n!) (pi/2)^n, which ties the operator
+    route to the zigzag counts; the test suite checks that identity in
+    exact arithmetic.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n - 1 > T_POWER_LIMIT:
         raise ValueError(f"exact iterates are capped at n <= {T_POWER_LIMIT}")
-    numerators, denominator = _q_iterate(n)
-    return PiPoly.pi_power(n, Fraction(numerators[0], denominator * 2**n))
+    q = _iterate(n)
+    return PiMultiple(Fraction(q.numerators[0], q.denominator * 2**n), n)
 
 
 def fourier_coeff_const(k: int) -> float:
@@ -194,7 +174,13 @@ def parseval_sum(n: int, K: int) -> float:
     so every term is the double of the per-term expression.  numpy's
     vectorised power is not used: it differs from libm in the last bit of
     some terms.  For n = 0 the division by (4k+1)^0 = 1.0, which is exact,
-    is skipped.
+    is skipped.  Where the float (4k+1)^n passes the float range (from
+    k = 1 at n = 442, from k = 3 at n = 300), the term is instead the
+    correctly rounded exact term q^2 (4k+1)^-(n+2), below 2^-1022: a
+    subnormal or 0.0.  The maps stop before the first k >= 1 whose power
+    of 4k + 1 overflows, found by bisection as the power grows with k, and
+    the terms from there on are taken one by one, so every term drawn
+    before that k keeps its bits.
 
     The terms stream from the centre out, k = 0, 1, -1, 2, -2, ..., and the
     value is (pi/4) fsum(terms) bit for bit: math.fsum is correctly rounded
@@ -211,20 +197,49 @@ def parseval_sum(n: int, K: int) -> float:
     rounding.  The bracket takes 8u; where 4K + 1 passes 2^53, so that
     4k + 1 is a rounded float, it takes (n + 2) 8u, which also covers that
     rounding in the square and in the n-th power.  The product by q^2 is
-    evaluated as (lo q) q, within 2.01u, and stepped out by 4u.
+    evaluated as (lo q) q, within 2.01u, and stepped out by 4u.  A term
+    taken as the rounded exact term is subnormal or 0.0, within 2^-1075 of
+    its exact value, which the underflow pad of ``_fsum_with_stop`` covers.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if K < 0:
         raise ValueError("K must be nonnegative")
     q = 4.0 / math.pi
+    q_num, q_den = q.as_integer_ratio()
 
-    def bases() -> Iterator[int]:  # 4k + 1 for k = 0, 1, -1, 2, -2, ..., K, -K
-        return chain((1,), chain.from_iterable(zip(range(5, 4 * K + 2, 4), range(-3, -4 * K, -4))))
+    def bases(a: int, b: int) -> Iterator[int]:  # 4k + 1 for k = a, -a, a + 1, -(a + 1), ..., b, -b
+        return chain.from_iterable(zip(range(4 * a + 1, 4 * b + 2, 4), range(1 - 4 * a, -4 * b, -4)))
 
-    terms = map(pow, map(truediv, repeat(q), bases()), repeat(2))
+    def overflows(k: int) -> bool:
+        try:
+            pow(4 * k + 1, float(n))
+        except OverflowError:
+            return True
+        return False
+
+    def term(base: int) -> float:
+        try:
+            return pow(q / base, 2) / pow(base, float(n))
+        except OverflowError:
+            return q_num * q_num / (q_den * q_den * base ** (n + 2))
+
+    # The least k >= 1 whose power overflows lies in (below, first], or first = K + 1.
+    below, first = 0, K + 1
+    while first - below > 1:
+        mid = (below + first) // 2
+        if overflows(mid):
+            first = mid
+        else:
+            below = mid
+
+    def head() -> Iterator[int]:  # 4k + 1 for k = 0, 1, -1, ..., first - 1, -(first - 1)
+        return chain((1,), bases(1, first - 1))
+
+    terms = map(pow, map(truediv, repeat(q), head()), repeat(2))
     if n:
-        terms = map(truediv, terms, map(pow, bases(), repeat(float(n))))
+        terms = map(truediv, terms, map(pow, head(), repeat(float(n))))
+    terms = chain(terms, map(term, bases(first, K)))
     rel = 2.0**-50 if 4 * K + 1 <= 2**53 else (n + 2) * 2.0**-50
 
     def rest(h: int) -> tuple[float, float]:

@@ -336,6 +336,11 @@ class TestPiMultiple:
     def test_zero_normalization(self):
         assert PiMultiple(Fraction(0), 7) == PiMultiple(Fraction(0), 0)
 
+    def test_terms(self):
+        assert PiMultiple(Fraction(1, 24), 3).terms == ((3, Fraction(1, 24)),)
+        assert PiMultiple(Fraction(-5, 2)).terms == ((0, Fraction(-5, 2)),)
+        assert PiMultiple(Fraction(0), 7).terms == ()
+
     def test_text(self):
         assert s_value(4).text() == "1/96 · pi^4"
         assert s_value(1).text() == "1/4 · pi"

@@ -9,8 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import exact_oracle  # noqa: E402
 from zigzagsums import special_numbers  # noqa: E402
-from zigzagsums.exact_arith import HALF_PI  # noqa: E402
 from zigzagsums.polytope_lab import (  # noqa: E402
     forward_map,
     inverse_map,
@@ -68,16 +68,19 @@ def test_power_sums_through_bernoulli_numbers(N, p):
 @given(st.integers(min_value=1, max_value=24))
 def test_iterate_derivative_is_reflected_previous_iterate(n):
     # d/dv of the integral of f over (0, pi/2 - v) is -f(pi/2 - v)
-    assert t_power_one(n).derivative() == -t_power_one(n - 1).reflect()
+    derivative = exact_oracle.derivative(exact_oracle.from_vpipoly(t_power_one(n)))
+    reflected = exact_oracle.reflect(exact_oracle.from_vpipoly(t_power_one(n - 1)))
+    assert derivative == {key: -c for key, c in reflected.items()}
 
 
 @PROPERTY_SETTINGS
 @given(st.integers(min_value=1, max_value=T_POWER_LIMIT))
 def test_iterate_is_homogeneous_and_vanishes_at_half_pi(n):
     iterate = t_power_one(n)
-    assert iterate.degree() == n
-    assert all(p.terms == ((n - j, p.terms[0][1]),) for j, p in iterate.terms)
-    assert iterate.evaluate(HALF_PI).is_zero()
+    assert iterate.degree == len(iterate.numerators) - 1 == n
+    poly = exact_oracle.from_vpipoly(iterate)
+    assert all(i + j == n for i, j in poly) and (0, n) in poly
+    assert exact_oracle.at_half_pi(poly) == ()
 
 
 @PROPERTY_SETTINGS

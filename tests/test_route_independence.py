@@ -23,6 +23,7 @@ import sys
 import pytest
 
 from zigzagsums import report, special_numbers
+from zigzagsums.exact_arith import VPiPoly
 
 
 def _twice_plus_one(value):
@@ -46,8 +47,9 @@ PERTURBATIONS = {
     ),
     "polytope_lab.linear_extension_count": (_twice_plus_one, "exact.extensions.chain"),
     # Every numerator of q_n moves, so the inner product is no longer A(n)/n!.
-    "spectral_operator._q_iterate": (
-        lambda q: ([_twice_plus_one(c) for c in q[0]], q[1]), "exact.operator_monomial"
+    "spectral_operator._iterate": (
+        lambda q: VPiPoly(q.degree, tuple(map(_twice_plus_one, q.numerators)), q.denominator),
+        "exact.operator_monomial",
     ),
     # Float routes: a factor 1.5 moves S(n) (about 1) and the traces by far
     # more than their gates: 1e-9 plus a tail below 2e-6 (s_numeric), 1e-4

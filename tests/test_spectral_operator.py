@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from zigzagsums import euler_sums, spectral_operator
+import exact_oracle
 from zigzagsums.euler_sums import PiMultiple
-from zigzagsums.exact_arith import HALF_PI, PiPoly, VPiPoly
+from zigzagsums.exact_arith import VPiPoly
 from zigzagsums.special_numbers import zigzag
 from zigzagsums.spectral_operator import (
     T_POWER_LIMIT,
@@ -42,10 +43,17 @@ def _trace_oracle(N, n):
     return float(np.sum(ma * mb))
 
 
+def _parseval_term(n, k):
+    """The per-term expression, or where (4k+1)^n overflows the exact term q^2 (4k+1)^-(n+2) rounded."""
+    try:
+        return fourier_coeff_const(k) ** 2 / float(4 * k + 1) ** n
+    except OverflowError:
+        return float(Fraction(4.0 / math.pi) ** 2 / Fraction(4 * k + 1) ** (n + 2))
+
+
 def _parseval_oracle(n, K):
     """Oracle: the Parseval terms as a literal per-term list, then math.fsum."""
-    terms = [fourier_coeff_const(k) ** 2 / float(4 * k + 1) ** n for k in range(-K, K + 1)]
-    return (math.pi / 4) * math.fsum(terms)
+    return (math.pi / 4) * math.fsum([_parseval_term(n, k) for k in range(-K, K + 1)])
 
 
 def _residual_oracle(k, N):
@@ -104,39 +112,34 @@ def _residual_rounding_bound(k, N):
     return 1.01 * float(np.max(oracle + closed + 2 * U * (L + 1)))
 
 
-def _vpipoly_iterate(n):
-    """Oracle: T^n 1 by n symbolic applications of the operator to VPiPoly values."""
-    result = VPiPoly.one()
-    for _ in range(n):
-        result = result.integral_to_reflection()
-    return result
-
-
 class TestHomogeneousIterates:
+    """Against T^n 1 by n symbolic applications of the operator to Fraction polynomials in (pi, v)."""
+
     @pytest.mark.parametrize("n", range(21))
     def test_t_power_one_matches_vpipoly_iteration(self, n):
-        assert t_power_one(n) == _vpipoly_iterate(n)
+        assert exact_oracle.from_vpipoly(t_power_one(n)) == exact_oracle.iterate(n)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_inner_product_matches_vpipoly_iteration(self, n):
-        expected = _vpipoly_iterate(n - 1).integral_to_half_pi()
-        assert inner_product_one(n) == expected
-        assert inner_product_one(n).terms == expected.terms
+        expected = exact_oracle.integral_to_half_pi(exact_oracle.iterate(n - 1))
+        assert inner_product_one(n).terms == expected
 
 
 class TestExactOperator:
     def test_applied_to_one(self):
-        expected = VPiPoly.from_dict({0: HALF_PI, 1: PiPoly.rational(-1)})
-        assert VPiPoly.one().integral_to_reflection() == expected
+        # pi/2 - v
+        value = VPiPoly.one().integral_to_reflection()
+        assert value == VPiPoly(1, (1, -1))
+        assert exact_oracle.from_vpipoly(value) == {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1)}
 
     def test_applied_twice(self):
-        expected = VPiPoly.from_dict(
-            {0: PiPoly.pi_power(2, Fraction(1, 8)), 2: PiPoly.rational(Fraction(-1, 2))}
-        )
-        assert VPiPoly.one().integral_to_reflection().integral_to_reflection() == expected
+        # pi^2/8 - v^2/2
+        value = VPiPoly.one().integral_to_reflection().integral_to_reflection()
+        assert value == VPiPoly(2, (1, 0, -1), 2)
+        assert exact_oracle.from_vpipoly(value) == {(2, 0): Fraction(1, 8), (0, 2): Fraction(-1, 2)}
 
     def test_applied_to_zero(self):
-        assert VPiPoly.zero().integral_to_reflection() == VPiPoly.zero()
+        assert VPiPoly(0, ()).integral_to_reflection() == VPiPoly(0, ())
 
     def test_iterates(self):
         assert t_power_one(0) == VPiPoly.one()
@@ -146,22 +149,22 @@ class TestExactOperator:
     def test_iterate_degree_and_root(self):
         for n in range(1, 13):
             iterate = t_power_one(n)
-            assert iterate.degree() == n
+            assert iterate.degree == len(iterate.numerators) - 1 == n
             # vanishes identically at v = pi/2
-            assert iterate.evaluate(HALF_PI).is_zero()
+            assert exact_oracle.at_half_pi(exact_oracle.from_vpipoly(iterate)) == ()
 
     def test_iterate_cap(self):
         with pytest.raises(ValueError):
             t_power_one(T_POWER_LIMIT + 1)
 
     def test_inner_products(self):
-        assert inner_product_one(1) == HALF_PI
-        assert inner_product_one(2) == PiPoly.pi_power(2, Fraction(1, 8))
+        assert inner_product_one(1) == PiMultiple(Fraction(1, 2), 1)
+        assert inner_product_one(2) == PiMultiple(Fraction(1, 8), 2)
         # integral of pi^2/8 - v^2/2 over (0, pi/2) = pi^3/16 - pi^3/48 = pi^3/24
-        assert inner_product_one(3) == PiPoly.pi_power(3, Fraction(1, 24))
+        assert inner_product_one(3) == PiMultiple(Fraction(1, 24), 3)
 
     def test_inner_product_cap(self):
-        assert inner_product_one(T_POWER_LIMIT + 1).degree() == T_POWER_LIMIT + 1
+        assert inner_product_one(T_POWER_LIMIT + 1).power == T_POWER_LIMIT + 1
         with pytest.raises(ValueError, match="capped"):
             inner_product_one(T_POWER_LIMIT + 2)
         with pytest.raises(ValueError):
@@ -252,7 +255,19 @@ class TestFourier:
     def test_parseval_forced_fallback_keeps_bits(self, monkeypatch):
         # A rest interval up to 1 wide never pins the double, so every sum with
         # a head takes the fallback: the head chained with the rest of the stream.
+        # Each rest is widened by 2^-40 on both sides, as at n >= 300 it is far
+        # narrower than an ulp of the sum.
         monkeypatch.setattr(euler_sums, "_REST_LIMIT", 1.0)
+        real = spectral_operator._fsum_with_stop
+
+        def widened(terms, count, rest, finish):
+            def wide(h):
+                lo, hi = rest(h)
+                return lo - 2.0**-40, hi + 2.0**-40
+
+            return real(terms, count, wide, finish)
+
+        monkeypatch.setattr(spectral_operator, "_fsum_with_stop", widened)
         fallbacks = [0]
 
         def counting_chain(*iterables):
@@ -260,33 +275,41 @@ class TestFourier:
             return itertools.chain(*iterables)
 
         monkeypatch.setattr(euler_sums, "chain", counting_chain)
-        cases = [(n, K) for n in range(6) for K in (5, 1000, 10**4)]
+        # (4k+1)^300 overflows from k = 3 on, 5^442 at k = 1, where 3^442 does not
+        cases = [(n, K) for n in range(6) for K in (5, 1000, 10**4)] + [(300, 1000), (442, 5)]
         for n, K in cases:
             assert parseval_sum(n, K).hex() == _parseval_oracle(n, K).hex(), (n, K)
         assert fallbacks[0] == len(cases)
 
-    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 300])
     def test_parseval_rest_holds_float_tail(self, monkeypatch, n):
         # The terms stream from the centre out, t_0, t_1, t_-1, t_2, ...; every
         # rest(h), for odd and even h, holds the exact sum of the floats after h.
-        rests = []
+        # At n = 300 the terms from k = 3 on are subnormal or 0.0; the stream
+        # is the oracle's terms bit for bit, those included.
+        rests, streamed = [], []
         real = spectral_operator._fsum_with_stop
 
         def spy(terms, count, rest, finish):
             rests.append(rest)
-            return real(terms, count, rest, finish)
+            streamed.extend(terms)
+            return real(iter(streamed), count, rest, finish)
 
         monkeypatch.setattr(spectral_operator, "_fsum_with_stop", spy)
-        K = 30
+        K = 1000 if n == 300 else 30
         parseval_sum(n, K)
         order = [0] + [k for j in range(1, K + 1) for k in (j, -j)]
-        terms = [fourier_coeff_const(k) ** 2 / float(4 * k + 1) ** n for k in order]
-        for h in range(1, 2 * K + 1):
+        terms = [_parseval_term(n, k) for k in order]
+        assert [t.hex() for t in streamed] == [t.hex() for t in terms]
+        tail = Fraction(0)
+        for h in range(2 * K, 0, -1):
+            tail += Fraction(terms[h])
             lo, hi = rests[0](h)
-            assert Fraction(lo) <= sum(map(Fraction, terms[h:])) <= Fraction(hi), h
+            assert Fraction(lo) <= tail <= Fraction(hi), h
 
-    # K = 10^17 puts 4K + 1 past 2^53, where 4k + 1 are rounded floats
-    @pytest.mark.parametrize("K", [10**15, 10**17])
+    # K = 10^17 puts 4K + 1 past 2^53, where 4k + 1 are rounded floats, and
+    # 2^70 puts the count of terms past a C ssize_t
+    @pytest.mark.parametrize("K", [10**15, 10**17, 2**70])
     def test_parseval_huge_truncation_returns_fast(self, K):
         # streaming 2 * 10^15 + 1 or more terms would take days
         start = time.perf_counter()

@@ -73,8 +73,10 @@ CONFIG_ENV = "ZIGZAGSUMS_CONFIG"
 
 DEFAULTS = {"digits": 12, **report.run_suite.__kwdefaults__}
 
-# Largest Nystrom grid accepted: the dense N x N matrix takes 8 N^2 bytes
-# (134 MB at N = 4096) and the trace route holds several such arrays.
+# Largest Nystrom grid accepted.  It bounds verify's dense traces
+# (nystrom_traces): one N x N matrix takes 8 N^2 bytes (134 MB at N = 4096)
+# and they hold two at once.  The spectrum and the lattice-count trace of
+# volume ... spectral build no array.
 GRID_LIMIT = 4096
 
 # Largest Monte Carlo sample count accepted.  Run time is linear in the count
@@ -110,11 +112,11 @@ TERMS_LIMIT = 1424
 # coordinate, 131 kB each: ceil(n/2) coordinates for a volume, n for the
 # cube integral, so at most 4.2 MB at n = 32; 10^6 samples take about
 # 0.012 s (volume) and 0.017 s (cube integral) at n = 8, and 0.05 s and
-# 0.076 s at n = 32 on 2 CPUs.  The spectral trace takes about 2 log2(n) products
-# of dense grid x grid matrices, so its cost grows without bound in n; at
-# GRID_LIMIT the slowest n up to the cap is n = 29 (3 blocked squares and 5
-# full products), 11.4 s and 555 MB peak on 2 CPUs, against 4.3 s and
-# 287 MB at n = 32 (4 blocked squares).
+# 0.076 s at n = 32 on 2 CPUs.  The spectral trace counts lattice points in
+# O(n^4) integer operations, whatever the grid: at GRID_LIMIT it takes
+# 0.07 s at n = 29 and 0.10 s at n = 32 in process, and a whole
+# `volume cyclic 32 spectral --grid 4096` 0.15-0.19 s and 16 MB peak RSS
+# (Xeon, 2 CPUs).
 MC_DIMENSION_LIMIT = 32
 
 VOLUME_METHODS = ("exact", "extensions", "montecarlo", "spectral", "cube-integral")

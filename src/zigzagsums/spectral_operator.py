@@ -11,26 +11,27 @@ Two complementary views are implemented:
     over one common denominator; ``t_power_one`` returns the iterate and
     ``inner_product_one`` the single pi multiple (pi/2)^n q_n(0);
   * numeric: a midpoint-rule Nystrom matrix whose spectrum approximates the
-    true eigenvalues 1/(4k+1) (eigenfunctions cos((4k+1)u)) and whose matrix
-    powers approximate operator traces.  The spectrum of that matrix has a
-    closed form (see ``sym_eigenvalues``), evaluated in O(top) operations
-    with ``math.sin``; the test suite checks it against LAPACK's dense
-    symmetric solver.  The traces come from matrix powers, independently of
-    the closed form; each square in them is computed by row blocks over its
-    upper triangle and mirrored, bit for bit equal to the full product (see
-    ``_square``).  ``trace_power_nystrom(N, n)`` forms the powers it needs
-    on one kernel, along numpy.linalg.matrix_power's chain of squares;
-    ``nystrom_traces(N)``, the verify suite's call, returns the traces of
-    M^2, M^3 and M^4 from one kernel and one square M @ M, with the bits
-    of three lone ``trace_power_nystrom`` calls.  Only the traces build
-    N x N arrays: the eigenfunction residual sums in closed form.
+    true eigenvalues 1/(4k+1) (eigenfunctions cos((4k+1)u)) and whose
+    power traces approximate operator traces.  The spectrum of that matrix
+    has a closed form (see ``sym_eigenvalues``), evaluated in O(top)
+    operations with ``math.sin``; the test suite checks it against LAPACK's
+    dense symmetric solver.  The traces are independent of the closed form:
+    ``trace_power_nystrom(N, n)`` counts the lattice points of a dilated
+    cyclic polytope in exact integers, (pi/2N)^n L_n(N - 2), and builds no
+    array.  ``nystrom_traces(N)``, the verify suite's call, returns the
+    traces of M^2, M^3 and M^4 from dense products of one kernel and one
+    square M @ M, computed by row blocks over its upper triangle and
+    mirrored, bit for bit equal to the full product (see ``_square``).
+    Only those dense traces build N x N arrays: the eigenfunction residual
+    sums in closed form.
 
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
 boundary (midpoints with i + j + 1 = N sum to pi/2 in exact arithmetic).
 
 numpy is imported inside the numeric functions that build arrays, so the
-exact view and the closed-form spectrum run without loading it.
+exact view, the closed-form spectrum and the lattice-count traces run
+without loading it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import truediv
 from typing import TYPE_CHECKING, Iterator
 
@@ -54,7 +55,7 @@ HALF_PI = math.pi / 2
 # Degree of the exact operator iterates grows linearly; keep desk scale.
 T_POWER_LIMIT = 40
 
-# Rows per block of the blocked square in the trace route; every block edge
+# Rows per block of the blocked square in the dense traces; every block edge
 # is a multiple of it or N (see _square).
 SQUARE_ROWS = 256
 
@@ -303,7 +304,7 @@ def exact_eigenvalue(rank: int) -> float:
     return 1.0 / (4 * _rank_mode(rank) + 1)
 
 
-def _square(x: np.ndarray, triangle: bool = False) -> np.ndarray:
+def _square(x: np.ndarray) -> np.ndarray:
     """x @ x for a symmetric x, equal to the full product bit for bit, in about half its flops.
 
     BLAS accumulates each output entry over K in an order set by K and by
@@ -322,84 +323,93 @@ def _square(x: np.ndarray, triangle: bool = False) -> np.ndarray:
     A last block of a few rows changes bits too, so it takes more than
     SQUARE_ROWS / 2 and at most 3 SQUARE_ROWS / 2 rows.  The test suite
     checks the result against x @ x, on random symmetric matrices as well.
-
-    With ``triangle`` only the entries with i + j + 1 < N, where the kernel
-    matrix is nonzero, are computed, each block's columns rounded up to a
-    multiple of SQUARE_ROWS; the rest are left at 0.
     """
     import numpy as np
 
     N = x.shape[0]
     if N % SQUARE_ALIGN or N < 2 * SQUARE_ROWS:
         return x @ x
-    out = np.zeros((N, N)) if triangle else np.empty((N, N))
+    out = np.empty((N, N))
     edges = list(range(0, N - SQUARE_ROWS // 2, SQUARE_ROWS)) + [N]
     for i0, i1 in zip(edges, edges[1:]):
-        stop = N
-        if triangle:  # rows from i0 on are nonzero only in columns below N - 1 - i0
-            stop = min(N, -(-(N - 1 - i0) // SQUARE_ROWS) * SQUARE_ROWS)
-            if stop <= i0:
-                break
-        np.matmul(x[i0:i1], x[:, i0:stop], out=out[i0:i1, i0:stop])
-        out[i1:stop, i0:i1] = out[i0:i1, i1:stop].T
+        np.matmul(x[i0:i1], x[:, i0:], out=out[i0:i1, i0:])
+        out[i1:, i0:i1] = out[i0:i1, i1:].T
     return out
+
+
+def _closed_walks(t: int, n: int) -> int:
+    """tr(A_t^n) for the (t + 1) x (t + 1) 0/1 matrix A_t with entries [i + j <= t].
+
+    (A_t v)_i is the sum of v_j over j <= t - i, the prefix sums of v
+    read backwards, so n such steps from the unit vector e_i end on the
+    count of closed walks of length n from i.
+    """
+    total = 0
+    for i in range(t + 1):
+        v = [0] * (t + 1)
+        v[i] = 1
+        for _ in range(n):
+            v = list(accumulate(v))[::-1]
+        total += v[i]
+    return total
+
+
+def _node_differences(n: int, parity: int) -> list[int]:
+    """The forward differences D^0 .. D^n of L_n at the nodes t = parity, parity + 2, ..., parity + 2n.
+
+    L_n(parity + 2q) is a polynomial of degree n in q (see
+    ``trace_power_nystrom``), so these n + 1 integers are its Newton
+    coefficients: L_n(parity + 2q) = sum over k of C(q, k) D^k.
+    """
+    row = [_closed_walks(parity + 2 * q, n) for q in range(n + 1)]
+    differences = []
+    for _ in range(n + 1):
+        differences.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return differences
+
+
+def _lattice_count(t: int, n: int) -> int:
+    """L_n(t): the x in Z>=0^n with x_k + x_(k+1) <= t for every k, cyclically."""
+    parity = t % 2
+    q = (t - parity) // 2
+    return sum(math.comb(q, k) * d for k, d in enumerate(_node_differences(n, parity)))
 
 
 def trace_power_nystrom(N: int, n: int) -> float:
     """Trace of the n-th power of the Nystrom matrix; approximates S(n).
 
-    Requires n >= 2 (the operator itself is not trace class).  Computed from
-    matrix powers of dense entries assembled for this call, independently
-    of any eigenvalue solve: with a = n // 2 and b = n - a, trace(M^n) is
-    the sum of the elementwise product of M^a and M^b, both symmetric.
-
-    Both powers are formed as numpy.linalg.matrix_power forms them, on one
-    kernel and one chain of squares: M^3 is (M @ M) @ M, and any other
-    power takes ``result @ z`` at each set bit of its exponent, lowest
-    first, while z runs through M, M^2, M^4, ...  Each square X @ X is
-    computed by ``_square`` from row blocks over the upper triangle of the
-    symmetric X, and for n = 3 M^2 is computed only where M is nonzero, as
-    the rest is multiplied by 0.  Every entry is accumulated over K in the
-    order of the full product, so the trace is the float that matrix_power
-    gives, bit for bit; the test suite holds this invariant against a
-    matrix_power oracle, at grids whose size does and does not line up
-    with the row blocks.  Every array is dropped once nothing further reads
-    it, and the last product is written over M^b.  Measured with
-    tracemalloc, at most four N x N arrays are live at once: one for n = 2,
-    two for n = 3, 4, 8, 16 and 32, three or four for the other n up to 32.
+    Requires n >= 2 (the operator itself is not trace class).  The matrix
+    is M = (pi/2N) J with J_ij = [i + j + 1 < N], whose last row and column
+    are empty, so trace(M^n) = (pi/2N)^n tr(A_t^n) with t = N - 2.  That
+    trace counts the closed walks i_1 -> ... -> i_n -> i_1 with consecutive
+    sums at most t: the lattice points L_n(t) of t P, for the unit cyclic
+    polytope P = {x >= 0 : x_k + x_(k+1) <= 1}.  Its vertices are
+    half-integral, so L_n is its Ehrhart quasi-polynomial of degree n and
+    period 2 (Stanley, "Two poset polytopes", 1986; Beck and Robins,
+    "Computing the Continuous Discretely"), and the n + 1 counts at the
+    small t of the same parity fix it (``_node_differences``).  Every step
+    is an integer, so the result is (pi/2N)^n L_n(N - 2) up to the
+    rounding of ``PiMultiple.to_float``.  No array is built, numpy is not
+    loaded, and the cost, O(n^4) integer operations, does not grow with N.
+    The route reads neither the eigenvalue formula nor the zigzag counts.
     """
     if n < 2:
         raise ValueError("the trace route requires n >= 2")
     _check_grid(N)
-    import numpy as np
-
-    a, b = n // 2, n - n // 2
-    m = _kernel_entries(N)
-    powers = dict.fromkeys((a, b))
-    z = m
-    for k in range(b.bit_length()):
-        if k:
-            z = _square(z, triangle=n == 3)
-        for p in powers:
-            if p == 3:
-                if k == 1:
-                    powers[p] = z @ m
-            elif p >> k & 1:
-                powers[p] = z if powers[p] is None else powers[p] @ z
-        if k == 1:
-            del m  # no product after (M @ M) @ M reads M itself
-    ma, mb = powers[a], powers[b]
-    # an elementwise square may read and write one array
-    return float(np.sum(np.multiply(mb, ma, out=mb)))
+    return PiMultiple(Fraction(_lattice_count(N - 2, n), (2 * N) ** n), n).to_float()
 
 
 def nystrom_traces(N: int) -> tuple[float, float, float]:
-    """trace(M^2), trace(M^3) and trace(M^4), bit for bit as ``trace_power_nystrom`` gives them.
+    """trace(M^2), trace(M^3) and trace(M^4) from dense products of the Nystrom matrix.
 
-    The three share one kernel and one full square M @ M from ``_square``,
-    where three lone calls form three kernels and two squares.  trace(M^3)
-    reads the square only where M is nonzero, which a lone n = 3 call's
-    triangle square computes with the same bits.  The products are written
+    The verify suite's traces, from dense products rather than the lattice
+    counts of ``trace_power_nystrom``: the three share one kernel and one
+    full square M @ M from ``_square``, and each trace is the sum of an
+    elementwise product, bit for bit equal to the trace from
+    numpy.linalg.matrix_power.  The products round, so the values agree
+    with ``trace_power_nystrom`` only to the rounding error of dense
+    products of nonnegative entries, not bit for bit.  They are written
     over arrays nothing later reads, so two N x N arrays are live at once.
     """
     _check_grid(N)

@@ -51,8 +51,8 @@ alternating permutation counts A(n) and cyclic counts A0(n), n = 1..10
 """
 
 # Exit code, stdout and stderr of deterministic invocations, byte for byte.
-# BLAS-dependent floats (spectrum, volume ... spectral, verify spectral) are
-# left out: their last digits vary with the thread count.
+# verify spectral is left out: the last digits of its dense traces vary with
+# the BLAS thread count.  volume ... spectral counts lattice points exactly.
 GOLDEN_INVOCATIONS = [
     (("sums", "4"),
      0, "S(4) = 1/96 · pi^4 ≈ 1.0146780316\nzeta(4) = 1/90 · pi^4 ≈ 1.08232323371\n", ""),
@@ -90,6 +90,10 @@ GOLDEN_INVOCATIONS = [
      0, '{"n": 10, "value": "5/66"}\n', ""),
     (("euler", "8", "--json"),
      0, '{"n": 8, "value": 1385}\n', ""),
+    (("volume", "cyclic", "3", "spectral", "--grid", "50", "--json"),
+     0, '{"trace": 0.940265340330092, "grid": 50}\n', ""),
+    (("volume", "cyclic", "5", "spectral", "--grid", "1000", "--scale", "unit"),
+     0, "Vol ≈ 0.103906562292 (matrix trace at grid N=1000)\n", ""),
     (("g-eval", "0.5"),
      0, "closed = 0.948059448969\nseries = 0.948059448969 (80 terms)\n|closed - series| = 0\n", ""),
     (("g-eval", "-0.5", "--terms", "60", "--json"),

@@ -9,7 +9,7 @@ from pathlib import Path
 from zigzagsums import cli
 
 # Commands that build no array: exact integer, Fraction or pi-multiple work,
-# and the closed-form spectrum.
+# the closed-form spectrum and the lattice-count trace.
 NO_NUMPY_COMMANDS = [
     ["tables"],
     ["sums", "5"],
@@ -21,6 +21,7 @@ NO_NUMPY_COMMANDS = [
     ["volume", "cyclic", "6", "exact"],
     ["volume", "chain", "7", "extensions"],
     ["spectrum", "--grid", "100", "--top", "3"],
+    ["volume", "cyclic", "2", "spectral", "--grid", "50"],
 ]
 
 # The modules benchmark/spans.py reads from sys.modules when it traces.
@@ -56,13 +57,13 @@ def _fresh(commands):
 
 
 def test_commands_without_arrays_do_not_load_numpy():
-    trace = ["volume", "cyclic", "2", "spectral", "--grid", "50"]
-    loaded = _fresh([*NO_NUMPY_COMMANDS, trace])
+    dense = ["verify", "spectral", "--grid", "400"]
+    loaded = _fresh([*NO_NUMPY_COMMANDS, dense])
     assert loaded.pop("import") is False
     for argv in NO_NUMPY_COMMANDS:
         assert loaded[" ".join(argv)] == [0, False], argv
-    # the check can see numpy: the trace route builds an array
-    assert loaded[" ".join(trace)] == [0, True]
+    # the check can see numpy: verify's dense traces build arrays
+    assert loaded[" ".join(dense)] == [0, True]
 
 
 def test_import_loads_every_traced_module():

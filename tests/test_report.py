@@ -192,10 +192,10 @@ class TestSpectralSuite:
         real = spectral_operator._square
         calls = []
 
-        def counting(x, triangle=False):
-            calls.append(triangle)
-            return real(x, triangle)
+        def counting(x):
+            calls.append(x.shape)
+            return real(x)
 
         monkeypatch.setattr(spectral_operator, "_square", counting)
         assert run_suite("spectral").all_passed()
-        assert calls == [False]
+        assert len(calls) == 1

@@ -442,6 +442,131 @@ class TestEigenvalues:
         assert [v > 0 for v in full[:6]] == [True, False] * 3
 
 
+def _closed_walks_oracle(t, n):
+    """Oracle: tr(A_t^n) by a dense power of the 0/1 matrix [i + j <= t] in Python integers."""
+    index = np.arange(t + 1)
+    a = np.less_equal.outer(index, t - index).astype(int).astype(object)
+    return int(np.trace(np.linalg.matrix_power(a, n)))
+
+
+def _machin_pi(bits):
+    """(lo, hi): Fractions that bracket pi, by Machin's formula, at about 2^-bits.
+
+    pi = 16 arctan(1/5) - 4 arctan(1/239), each arctan summed in integers
+    scaled by 2^bits.  Each term floor(floor(one / x^k) / k) is the floor
+    of its exact value, within one unit, and the alternating tail after the
+    last nonzero power is below one unit, so an arctan summed from m terms
+    is within m + 1 units.
+    """
+    one = 1 << bits
+
+    def arctan_inv(x):
+        total, power, k, terms = 0, one // x, 1, 0
+        while power:
+            total += (power // k) if k % 4 == 1 else -(power // k)
+            power //= x * x
+            k += 2
+            terms += 1
+        return total, terms + 1
+
+    (a, ea), (b, eb) = arctan_inv(5), arctan_inv(239)
+    pi, error = 16 * a - 4 * b, 16 * ea + 4 * eb
+    return Fraction(pi - error, one), Fraction(pi + error, one)
+
+
+PI_LO, PI_HI = _machin_pi(256)
+
+# Accuracy assumed of libm's pow: within POW_ULPS ulps of the exact power of
+# its double arguments.
+POW_ULPS = 1
+
+
+def _to_float_bound(n):
+    """A bound on the relative error of PiMultiple(c, n).to_float() for n <= 620.
+
+    to_float rounds c to its nearest double (relative error u), raises
+    the double pi = fl(pi)(1 + d) to the n-th power by libm's pow (within
+    POW_ULPS ulps, 2 POW_ULPS u of (pi (1 + d))^n) and rounds their product
+    once (u); the frexp and ldexp scalings are exact.  |d| is measured
+    against the Machin bracket.
+    """
+    d = max(abs(Fraction(math.pi) - PI_LO), abs(Fraction(math.pi) - PI_HI)) / PI_LO
+    u = Fraction(U)
+    return float((1 + u) ** 2 * (1 + 2 * POW_ULPS * u) * (1 + d) ** n - 1)
+
+
+def _matmuls(power):
+    """Products numpy.linalg.matrix_power spends on a positive power: squarings plus multiplies."""
+    return power.bit_length() - 1 + bin(power).count("1") - 1
+
+
+def _dense_trace_bound(N, n):
+    """A bound on |_trace_oracle(N, n) - trace(M^n)| relative to the exact trace(M^n).
+
+    The oracle's kernel holds w = fl(fl(pi)/2 / N), which is w* r for the
+    exact w* = pi/2N, with r bracketed by the Machin pi.  Every entry of the
+    kernel is 0 or w, so all the products multiply nonnegative entries:
+    a computed product of matrices known entrywise within factors 1 +- e1
+    and 1 +- e2 is within (1 +- e1)(1 +- e2)(1 +- g_N) of the exact one,
+    g_k = k u / (1 - k u), in any order of accumulation, with or without
+    fused multiply-adds.  The chains to M^a and M^b take _matmuls(a) and
+    _matmuls(b) products, the elementwise product rounds once, and the sum
+    of N^2 nonnegative terms is within g_(N^2) in any order.  So the oracle
+    lies within r^n (1 +- E) of the exact trace, with
+    1 + E = (1 + g_N)^(products) (1 + u) (1 + g_(N^2)).
+    """
+    u = Fraction(U)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    w = Fraction(math.pi / 2 / N)
+    r_lo, r_hi = w * 2 * N / PI_HI, w * 2 * N / PI_LO
+    products = _matmuls(n // 2) + _matmuls(n - n // 2)
+    grow = (1 + gamma(N)) ** products * (1 + u) * (1 + gamma(N * N))
+    shrink = (1 - gamma(N)) ** products * (1 - u) * (1 - gamma(N * N))
+    return float(max(r_hi**n * grow - 1, 1 - r_lo**n * shrink))
+
+
+def _exact_trace(N, n, count):
+    """(lo, hi): bounds on (pi/2N)^n count from the Machin bracket."""
+    scale = Fraction(count, (2 * N) ** n)
+    return scale * PI_LO**n, scale * PI_HI**n
+
+
+def _within(value, bracket, rel):
+    """True iff value lies in the bracket widened on both sides by rel times its upper end."""
+    lo, hi = bracket
+    slack = Fraction(rel) * hi
+    return lo - slack <= Fraction(value) <= hi + slack
+
+
+class TestLatticeCounts:
+    """The exact count behind trace_power_nystrom: L_n(t) = tr(A_t^n)."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_newton_form_matches_closed_walks_beyond_nodes(self, n):
+        # The nodes of each parity end at t = 2n + 1; the Newton form must
+        # keep matching a dense count up to 2n + 8, which tests the
+        # period-2 quasi-polynomial claim instead of assuming it.
+        for t in range(2 * n + 9):
+            assert spectral_operator._lattice_count(t, n) == _closed_walks_oracle(t, n), t
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_ehrhart_leading_coefficient(self, n, parity):
+        # L_n(parity + 2q) has leading term Vol(P) (2q)^n, so its n-th
+        # difference is n! 2^n Vol(P), and Vol(P) = (2/pi)^n S(n) = 2^n s_coeff(n)
+        # for the unit cyclic polytope P.
+        leading = spectral_operator._node_differences(n, parity)[n]
+        assert leading == math.factorial(n) * 4**n * euler_sums.s_coeff(n)
+
+    def test_small_counts(self):
+        # n = 2: x_1 + x_2 <= t, (t + 1)(t + 2)/2 points
+        assert [spectral_operator._lattice_count(t, 2) for t in range(5)] == [1, 3, 6, 10, 15]
+        assert spectral_operator._closed_walks(0, 7) == 1
+
+
 class TestTraces:
     def test_square_trace_identity(self):
         matrix = nystrom_matrix(100)
@@ -473,24 +598,48 @@ class TestTraces:
         with pytest.raises(ValueError):
             trace_power_nystrom(100, 1)
 
+    @pytest.mark.parametrize("N", [2, 3, 7, 12, 40])
+    def test_exact_to_rounding_at_small_grids(self, N):
+        # the count from a dense integer power, independently of the Newton form
+        for n in range(2, 13):
+            bracket = _exact_trace(N, n, _closed_walks_oracle(N - 2, n))
+            assert _within(trace_power_nystrom(N, n), bracket, _to_float_bound(n)), n
+
+    @pytest.mark.parametrize("N", [100, 520, 2000, 4096, 10**6])
+    def test_exact_to_rounding_at_large_grids(self, N):
+        # the count from the Newton form, which the lattice-count tests hold
+        # to dense counts; this checks the scaling and the rounding
+        for n in (2, 3, 4, 5, 13, 29, 32):
+            count = spectral_operator._lattice_count(N - 2, n)
+            bracket = _exact_trace(N, n, count)
+            assert _within(trace_power_nystrom(N, n), bracket, _to_float_bound(n)), n
+
+    @pytest.mark.parametrize("N", [2, 3, 7, 64, 100])
+    def test_matches_dense_oracle(self, N):
+        for n in range(2, 13):
+            rel = _dense_trace_bound(N, n) + _to_float_bound(n)
+            exact_hi = _exact_trace(N, n, spectral_operator._lattice_count(N - 2, n))[1]
+            gap = abs(Fraction(trace_power_nystrom(N, n)) - Fraction(_trace_oracle(N, n)))
+            assert gap <= Fraction(rel) * exact_hi, n
+
     @pytest.mark.parametrize("N", [2, 3, 7, 100, 257, 520, 777, 1000, 1032, 2000])
     def test_bit_identical_to_fresh_product(self, N):
-        # n up to 12 runs the shared square chain; 2000 is verify's grid at
-        # its powers; 257 and 777 take the full square, 1000 and 1032 end in
-        # blocks that line up with neither the row blocks nor the triangle,
-        # n = 7, 8 square the dense M^2 in blocks, and 520 up to n = 16 also
-        # squares the dense M^4 in blocks
-        powers = {100: range(2, 13), 520: range(2, 17), 1032: range(2, 9),
-                  2000: (2, 3, 4)}.get(N, range(2, 7))
-        for n in powers:
-            assert trace_power_nystrom(N, n) == _trace_oracle(N, n)
+        # the dense traces verify reads: 257 and 777 take the full square,
+        # 520, 1000, 1032 and 2000 the blocked one, and 1000 and 1032 end in
+        # blocks that do not line up with the row blocks
+        assert nystrom_traces(N) == tuple(_trace_oracle(N, n) for n in (2, 3, 4))
 
     @pytest.mark.parametrize("N", [5, 100, 511, 512, 654, 1007, 2000])
     def test_shared_traces_equal_separate_traces(self, N):
-        # 512 and 2000 take the blocked square, the other grids the full product
+        # 512 and 2000 take the blocked square, the other grids the full
+        # product; the dense traces agree with the exact counts to the
+        # rounding of dense products
         traces = nystrom_traces(N)
-        assert traces == tuple(trace_power_nystrom(N, n) for n in (2, 3, 4))
         assert traces == tuple(_trace_oracle(N, n) for n in (2, 3, 4))
+        for n, trace in zip((2, 3, 4), traces):
+            rel = _dense_trace_bound(N, n) + _to_float_bound(n)
+            exact_hi = _exact_trace(N, n, spectral_operator._lattice_count(N - 2, n))[1]
+            assert abs(Fraction(trace_power_nystrom(N, n)) - Fraction(trace)) <= Fraction(rel) * exact_hi
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -499,34 +648,30 @@ class TestTraces:
             nystrom_traces(1)
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_lone_trace_assembles_one_kernel(self, monkeypatch, n):
-        real = spectral_operator._kernel_entries
-        calls = []
-        monkeypatch.setattr(spectral_operator, "_kernel_entries",
-                            lambda N: calls.append(N) or real(N))
-        trace_power_nystrom(64, n)
-        assert calls == [64]
+    def test_lone_trace_assembles_no_kernel(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("a dense kernel or square was built")
 
-    @pytest.mark.parametrize("n, squares", [(2, []), (3, [True]), (4, [False])])
-    def test_lone_trace_squares(self, monkeypatch, n, squares):
-        # n = 3 needs M^2 only where M is nonzero: the triangle square
-        real = spectral_operator._square
-        calls = []
+        monkeypatch.setattr(spectral_operator, "_kernel_entries", refuse)
+        monkeypatch.setattr(spectral_operator, "_square", refuse)
+        assert trace_power_nystrom(64, n) > 0
 
-        def counting(x, triangle=False):
-            calls.append(triangle)
-            return real(x, triangle)
-
-        monkeypatch.setattr(spectral_operator, "_square", counting)
-        trace_power_nystrom(512, n)
-        assert calls == squares
+    def test_builds_no_array(self):
+        N = 10**6
+        tracemalloc.start()
+        try:
+            for n in (2, 3, 13):
+                trace_power_nystrom(N, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # far below one array of N doubles
+        assert peak <= 8 * N // 100
 
     @pytest.mark.parametrize("N", [512, 520, 777, 1000, 1032, 2000])
     def test_blocked_square_equals_full_product(self, N):
         m = nystrom_matrix(N).entries
-        full = m @ m
-        assert np.array_equal(spectral_operator._square(m), full)
-        assert np.array_equal(spectral_operator._square(m, triangle=True) * m, full * m)
+        assert np.array_equal(spectral_operator._square(m), m @ m)
         # a dense symmetric matrix with no structure to hide a changed sum order
         x = np.random.default_rng(N).random((N, N))
         x += x.T

@@ -9,10 +9,11 @@ that rational by these routes, plus direct float summation:
   s_coeff_via_euler     (-1)^m E_2m / (2^(2m+2) (2m)!)           for n = 2m+1
   s_numeric             truncated summation with a rigorous tail bound
 
-Only the Bernoulli route is independent of the zigzag counts.  The Euler
-route is not: euler_number(2m) is defined as (-1)^m A(2m), so
-s_coeff_via_euler equals s_coeff by construction, and so does l4_coeff.
-Their checks test the conversion constants, not a second computation.
+The Bernoulli and Euler routes are independent of the zigzag counts:
+bernoulli and euler_number round Euler products for zeta(n) and beta(n+1)
+(see special_numbers), so their agreement with s_coeff is a second
+computation.  l4_coeff is not: it equals s_coeff by construction, and its
+check tests only the conversion constant.
 
 The Bernoulli and Euler conversion constants are the calibrated forms: the
 variants sometimes printed without the factorial factor (or with it moved

@@ -208,13 +208,29 @@ def _table_checks(entries):
             yield _exact(f"exact.{name}.{n}", description.format(n=n), expected, globals()[route](n))
 
 
+def _odd_bernoulli_by_recurrence(top):
+    """B_3, B_5, ..., B_top from the defining recurrence sum_{m<=k} C(k+1, m) B_m = 0.
+
+    Reads B_0, B_1 and the even values of ``bernoulli`` (the zeta route),
+    and takes the odd values below k from the recurrence itself, so a wrong
+    even value makes an odd one nonzero.
+    """
+    known = [bernoulli(0), bernoulli(1)]
+    for k in range(2, top + 1):
+        if k % 2 == 0:
+            known.append(bernoulli(k))
+        else:
+            known.append(-sum(math.comb(k + 1, m) * known[m] for m in range(k)) / (k + 1))
+    return known[3::2]
+
+
 def _exact_checks():
     yield from _table_checks(TABLES[:2])
     yield _exact("exact.l4_coeff.1", "alternating L-value coefficient at n=1", Fraction(1, 4), l4_coeff(1))
     yield from _table_checks(TABLES[2:3])
     yield _exact("exact.bernoulli.1", "Bernoulli number B_1", Fraction(-1, 2), bernoulli(1))
     yield _exact("exact.bernoulli.odd", "odd Bernoulli numbers vanish for 3 <= n <= 19",
-                 [Fraction(0)] * 9, [bernoulli(n) for n in range(3, 20, 2)])
+                 [Fraction(0)] * 9, _odd_bernoulli_by_recurrence(19))
     yield from _table_checks(TABLES[3:])
     for n in range(1, ENUMERATION_LIMIT + 1):
         yield _exact(f"exact.zigzag_bruteforce.{n}", f"A({n}) by enumeration of all {n}! permutations",

@@ -1,10 +1,15 @@
 """Bernoulli numbers, Euler numbers, and zigzag permutation counts.
 
-The integer sequences come from two independent directions:
+The numbers come from three independent directions:
 
-  * recurrences: the defining Bernoulli recurrence, scaled by factorials
-    so that its sums run on plain integers, and the boustrophedon
-    (back-and-forth) triangle for the zigzag counts A(n);
+  * L-values: B_n for even n >= 2 from zeta(n), and E_n from beta(n+1),
+    the Dirichlet L-function of the character mod 4.  Each L-value is an
+    Euler product over primes in fixed-point integers, divided by a power
+    of pi from Machin's formula, and rounded to the integer it must be
+    under a rigorous error bound (Fillebrown's method, as in PARI's
+    bernfrac; Harvey, Math. Comp. 79, 2010).  The denominator of B_n
+    comes from von Staudt-Clausen;
+  * the boustrophedon (back-and-forth) triangle for the zigzag counts A(n);
   * brute force: an exhaustive search over the permutations of {1..n},
     capped at n = 10.  It grows every prefix that keeps the up/down
     pattern sigma(1) < sigma(2) > sigma(3) < ... by one position at a
@@ -14,22 +19,23 @@ The integer sequences come from two independent directions:
     the pattern, and such a step breaks it for every completion, so no
     alternating permutation is missed.  The search uses nothing but the
     definition of alternation, so it stays an independent check on the
-    recurrences.
+    triangle.
 
-Euler numbers of even order are derived from the zigzag counts,
-E_2m = (-1)^m A(2m), and the cyclic counts from A0(2m) = m * A(2m-1).
-A permutation is a plain tuple of images (sigma(1), ..., sigma(n)).
+None of the three reads another, so E_2m = (-1)^m A(2m) and
+A0(2m) = 2^(2m-1) (2^2m - 1) |B_2m| are cross-checks.  The cyclic counts
+come from A0(2m) = m * A(2m-1).  A permutation is a plain tuple of images
+(sigma(1), ..., sigma(n)).
 
 numpy is imported only inside the two functions that build the frontier
-and check its leaves, so the exact recurrences run without loading it.
+and check its leaves, so the exact routes run without loading it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
-from math import comb, factorial
+from itertools import accumulate, compress
+from math import ceil, comb, factorial, floor, isqrt, log2, pi, prod
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -41,50 +47,182 @@ ENUMERATION_LIMIT = 10
 
 
 class SequenceCache:
-    """Memo store for Bernoulli values and the boustrophedon triangle.
+    """Memo store for Bernoulli and Euler values, Machin's pi and the boustrophedon triangle.
 
     Entries always equal what a fresh recomputation would produce, so
-    concurrent readers may race and at worst recompute.  ``scaled_bernoulli``
-    holds the integers (k+1)! B_k that the recurrence runs on.
+    concurrent readers may race and at worst recompute.  ``pi`` holds
+    (bits, P) with |P - pi 2^bits| < 3 at the largest precision asked so far.
     """
 
     def __init__(self) -> None:
-        self.bernoulli: dict[int, Fraction] = {0: Fraction(1)}
-        self.scaled_bernoulli: dict[int, int] = {0: 1}
+        self.bernoulli: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
+        self.euler: dict[int, int] = {0: 1}
+        self.pi: tuple[int, int] = (0, 3)
         self.zigzag: dict[int, int] = {0: 1}
         self._row: list[int] = [1]  # last triangle row, for index len(_row) - 1
 
 
 _CACHE = SequenceCache()
 
+# Bits of margin in the L-value kernel beyond the size of the integer and the
+# count of roundings.  The Euler-product tail and the roundings with pi's
+# truncation then move the result by at most about 2^(2 - _GUARD_BITS) = 1/64
+# each and the final division by 2^-_GUARD_BITS, so the certified error stays
+# far below the 1/4 that _l_integer accepts.  At 2 bits or fewer it no longer
+# certifies any B_n or E_n.
+_GUARD_BITS = 8
+
+
+def _primes_to(limit: int) -> list[int]:
+    """The primes p <= limit, for limit >= 1, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = bytes(2)
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return list(compress(range(limit + 1), sieve))
+
+
+def _arctan_inverse(x: int, one: int) -> int:
+    """one * arctan(1/x) for x >= 5, summed term by term with floor divisions.
+
+    Each of the J terms is off by less than 3 and the dropped tail by less
+    than 2, so the sum is off by less than 3J + 3, where J is about
+    log2(one) / (2 log2 x).
+    """
+    x2 = x * x
+    power = total = one // x
+    k = 3
+    while power:
+        power //= x2
+        total += power // k if k % 4 == 1 else -(power // k)
+        k += 2
+    return total
+
+
+def _machin_pi(bits: int) -> int:
+    """P with |P - pi 2^bits| < 3, from pi/4 = 4 arctan(1/5) - arctan(1/239).
+
+    The value is cached at the largest precision asked; a request above it
+    computes at least twice the cached bits, and a request below it is the
+    cached value shifted down.  The sums run with bits.bit_length() + 8
+    guard bits, which keeps their error under 1/2 unit before the shift.
+    """
+    held, value = _CACHE.pi
+    if bits > held:
+        held = max(bits, 2 * held, 64)
+        guard = held.bit_length() + 8
+        one = 1 << (held + guard)
+        value = (16 * _arctan_inverse(5, one) - 4 * _arctan_inverse(239, one)) >> guard
+        _CACHE.pi = held, value
+    return value >> (held - bits)
+
+
+def _euler_product(s: int, chi4: bool, bits: int, limit: int) -> int:
+    """Z with Z / 2^bits the Euler product over primes p <= limit of (1 - chi(p) p^-s)^-1.
+
+    chi is the trivial character, whose product tends to zeta(s), or with
+    chi4 the nonprincipal character mod 4 (chi(p) = +-1 for p = 1, 3 mod 4
+    and chi(2) = 0), whose product tends to beta(s) = L(s, chi4).  Each
+    prime's factor is applied by one floor (chi = 1) or ceiling (chi = -1)
+    division of Z, so each moves Z by a relative error below 2^(1-bits)
+    while Z stays above 2^(bits-1).
+    """
+    z = 1 << bits
+    for p in _primes_to(limit):
+        if chi4 and p == 2:
+            continue
+        q = p**s
+        if q - 1 > z:
+            break  # this and every later factor rounds to 1
+        if chi4 and p % 4 == 3:
+            z -= z // (q + 1)
+        else:
+            z += z // (q - 1)
+    return z
+
+
+def _pi_power(s: int, pi_bits: int, bits: int) -> tuple[int, int]:
+    """(m, e) with m 2^e = (P 2^-pi_bits)^s, P = _machin_pi(pi_bits), up to rounding.
+
+    Left-to-right binary powering; after each step the mantissa m is cut to
+    ``bits`` bits, s.bit_length() truncations of relative error below
+    2^(1-bits) each.
+    """
+    base = _machin_pi(pi_bits)
+    m, e = 1, 0
+    for digit in bin(s)[2:]:
+        m, e = m * m, 2 * e
+        if digit == "1":
+            m, e = m * base, e - pi_bits
+        drop = m.bit_length() - bits
+        if drop > 0:
+            m, e = m >> drop, e + drop
+    return m, e
+
+
+def _l_integer(s: int, chi4: bool, scale: int, shift: int) -> int:
+    """N = scale 2^shift L(s, chi) / pi^s, for s >= 2, given that N is an integer.
+
+    L is zeta(s) or, with chi4, beta(s), from ``_euler_product``.  The
+    working precision is sized from the bits N needs: N < 2^size, since
+    L < 2 and pi^s >= 2^floor(s log2 pi).  With R the roundings below (one
+    per prime up to the limit P, one per bit of s) and u = 2^(1-bits), the
+    computed value is N (1 + theta) up to a last floor of 2^-h, where
+    |theta| <= 4 sigma and
+
+        sigma = R u + s 2^-pi_bits + tail,   tail = P^(1-s) / (s - 1)
+
+    covers the roundings, the truncation of pi (relative below
+    2^-pi_bits, raised to the s-th power) and the primes above P: the
+    remaining product is 1 + sum of chi(m) m^-s over m > P free of small
+    primes, within sum_{m>P} m^-s <= P^(1-s) / (s - 1) of 1.  P, bits and
+    pi_bits make each term at most 2^(-size - _GUARD_BITS).
+
+    Raises RuntimeError unless the certified error is below 1/4 and the
+    value lies within 1/4 of an integer; then that integer is N.
+    """
+    size = max(1, scale.bit_length() + shift + 2 - floor(s * log2(pi)))
+    tail_bits = size + _GUARD_BITS
+    limit = max(2, ceil(2 ** ((tail_bits - log2(s - 1)) / (s - 1))))
+    while (s - 1) * limit ** (s - 1) < 1 << tail_bits:
+        limit += 1
+    roundings = limit + s.bit_length()
+    bits = size + (2 * roundings + 1).bit_length() + _GUARD_BITS
+    z = _euler_product(s, chi4, bits, limit)
+    m, e = _pi_power(s, bits + s.bit_length(), bits)
+    h = _GUARD_BITS
+    exponent = h + shift - bits - e
+    num = scale * z
+    q = (num << exponent) // m if exponent >= 0 else num // (m << -exponent)
+    sigma = Fraction(2 * roundings + 1, 1 << bits) + Fraction(1, 1 << tail_bits)
+    value, ulp = Fraction(q, 1 << h), Fraction(1, 1 << h)
+    nearest = round(value)
+    if 8 * sigma < 1:
+        error = 4 * sigma * (value + ulp) / (1 - 4 * sigma) + ulp
+        if error < Fraction(1, 4) and abs(value - nearest) <= Fraction(1, 4):
+            return nearest
+    raise RuntimeError(f"L({s}) at {bits} bits does not certify an integer")
+
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_0 = 1, B_1 = -1/2, and B_odd = 0 for n >= 3.
 
-    Computed by the defining recurrence sum_{m=0}^{k} C(k+1, m) B_m = 0,
-    scaled by (k+1)!: with c_k = (k+1)! B_k it reads
-
-        c_k = -sum_{m<k} C(k+1, m) (k! / (m+1)!) c_m,
-
-    where every factor is an integer.  The coefficient of c_m is updated to
-    that of c_{m+1} by an exact multiply and a divide by (m+1)(m+2), terms
-    whose c_m came out as 0 are skipped, and each c_k is divided by (k+1)!
-    once.  Odd-index values come out of the recurrence like all others.
+    For even n >= 2, |B_n| = 2 n! zeta(n) / (2 pi)^n.  Its denominator D is
+    the product of the primes p with (p - 1) | n (von Staudt-Clausen), so
+    D |B_n| is an integer, rounded from zeta(n)'s Euler product
+    (``_l_integer``); the sign is (-1)^(n/2 + 1).  Nothing here reads the
+    zigzag counts.
     """
     if n < 0:
         raise ValueError("Bernoulli numbers are indexed by n >= 0")
-    known, scaled = _CACHE.bernoulli, _CACHE.scaled_bernoulli
-    for k in range(len(scaled), n + 1):
-        coeff = factorial(k)  # C(k+1, 0) k! / 1!
-        acc = 0
-        for m in range(k):
-            c_m = scaled[m]
-            if c_m:
-                acc += coeff * c_m
-            coeff = coeff * (k + 1 - m) // ((m + 1) * (m + 2))
-        scaled[k] = -acc
-    for k in range(len(known), n + 1):
-        known[k] = Fraction(scaled[k], factorial(k + 1))
+    known = _CACHE.bernoulli
+    if n not in known:
+        if n % 2:
+            return Fraction(0)
+        denominator = prod(p for p in _primes_to(n + 1) if n % (p - 1) == 0)
+        numerator = _l_integer(n, False, 2 * denominator * factorial(n), -n)
+        known[n] = Fraction((-1) ** (n // 2 + 1) * numerator, denominator)
     return known[n]
 
 
@@ -244,14 +382,19 @@ def cyclic_zigzag_bruteforce(n: int) -> int:
 
 
 def euler_number(n: int) -> int:
-    """Euler number E_n of even order: E_0 = 1 and E_2m = (-1)^m A(2m).
+    """Euler number E_n of even order: E_0 = 1, E_2 = -1, E_4 = 5, ...
 
-    Odd orders are out of scope (they vanish in the convention used here
-    for the even-order table).
+    For even n >= 2, |E_n| = 2 n! (2/pi)^(n+1) beta(n+1), with beta the
+    Dirichlet L-function of the character mod 4, rounded from its Euler
+    product (``_l_integer``); the sign is (-1)^(n/2).  Nothing here reads
+    the zigzag counts, so E_2m = (-1)^m A(2m) is a cross-check.  Odd
+    orders are out of scope (they vanish in the convention used here).
     """
     if n < 0:
         raise ValueError("Euler numbers are indexed by n >= 0")
     if n % 2 != 0:
         raise ValueError("only even-order Euler numbers are supported")
-    return (-1) ** (n // 2) * zigzag(n)
-
+    known = _CACHE.euler
+    if n not in known:
+        known[n] = (-1) ** (n // 2) * _l_integer(n + 1, True, factorial(n), n + 2)
+    return known[n]

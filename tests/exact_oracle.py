@@ -1,9 +1,12 @@
-"""Oracle for the exact operator route: polynomials in pi and v with Fraction coefficients.
+"""Oracles for the exact routes, in their straightforward Fraction forms.
 
-A value is a dict {(i, j): c} standing for the sum of c pi^i v^j, with no
-zero c.  The operator T f(v) = integral of f over (0, pi/2 - v) is taken term
-by term, by the binomial expansion of (pi/2 - v)^(j+1); nothing here calls
-``VPiPoly.integral_to_reflection``.
+``bernoulli_numbers`` runs the defining Bernoulli recurrence term by term.
+
+The rest is the operator route: polynomials in pi and v with Fraction
+coefficients.  A value is a dict {(i, j): c} standing for the sum of
+c pi^i v^j, with no zero c.  The operator T f(v) = integral of f over
+(0, pi/2 - v) is taken term by term, by the binomial expansion of
+(pi/2 - v)^(j+1); nothing here calls ``VPiPoly.integral_to_reflection``.
 """
 
 import math
@@ -11,6 +14,14 @@ from collections import defaultdict
 from fractions import Fraction
 
 ONE = {(0, 0): Fraction(1)}
+
+
+def bernoulli_numbers(top: int) -> list:
+    """[B_0, ..., B_top] from sum_{m<=k} C(k+1, m) B_m = 0, summed over Fractions."""
+    known = [Fraction(1)]
+    for k in range(1, top + 1):
+        known.append(-sum(math.comb(k + 1, m) * known[m] for m in range(k)) / (k + 1))
+    return known
 
 
 def collect(pairs) -> dict:

@@ -10,7 +10,7 @@ import pytest
 
 from zigzagsums import cli, polytope_lab, report, special_numbers, spectral_operator
 from zigzagsums.polytope_lab import PolytopeSpec, volume_formula
-from zigzagsums.special_numbers import cyclic_zigzag, euler_number, zigzag
+from zigzagsums.special_numbers import bernoulli, cyclic_zigzag, euler_number, zigzag
 from zigzagsums.report import CheckResult, VerificationReport
 
 GOLDEN_TABLES = """\
@@ -824,14 +824,13 @@ class TestExactCaps:
             assert err.startswith(f"error: n {n} exceeds the limit of {cli.VOLUME_LIMIT}: ")
             assert "4300 decimal digits" in err
 
-    def test_bernoulli_cap_is_accepted(self, capsys, monkeypatch):
-        # B_n for n near the cap takes about a minute through the recurrence;
-        # the value at the odd cap is 0, so the gate is tested with it stubbed.
-        seen = []
-        monkeypatch.setattr(cli, "bernoulli", lambda n: seen.append(n) or Fraction(0))
-        assert cli.BERNOULLI_LIMIT % 2 == 1
-        assert run(capsys, "bernoulli", str(cli.BERNOULLI_LIMIT)) == (0, "0\n", "")
-        assert seen == [cli.BERNOULLI_LIMIT]
+    def test_bernoulli_cap_is_accepted(self, capsys):
+        n = cli.BERNOULLI_LIMIT
+        assert n % 2 == 1
+        assert run(capsys, "bernoulli", str(n)) == (0, "0\n", "")
+        code, out, err = run(capsys, "bernoulli", str(n - 1), "--json")
+        assert (code, err) == (0, "")
+        assert Fraction(json.loads(out)["value"]) == bernoulli(n - 1) != 0
 
     def test_ratio_limit_cap(self, capsys, monkeypatch):
         m = cli.RATIO_LIMIT

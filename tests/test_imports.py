@@ -16,6 +16,8 @@ NO_NUMPY_COMMANDS = [
     ["zigzag", "10", "--cyclic"],
     ["bernoulli", "20"],
     ["euler", "10"],
+    ["bernoulli", "2062"],
+    ["euler", "1658"],
     ["ratio-limit", "6"],
     ["g-eval", "0.5"],
     ["volume", "cyclic", "6", "exact"],

@@ -1,7 +1,9 @@
 import itertools
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial
 
+import exact_oracle
 import numpy as np
 import pytest
 
@@ -48,14 +50,6 @@ class TestBernoulli:
             bernoulli(-1)
 
 
-def _bernoulli_oracle(n):
-    """Oracle: the defining recurrence summed over Fractions, term by term."""
-    known = [Fraction(1)]
-    for k in range(1, n + 1):
-        known.append(-sum(comb(k + 1, m) * known[m] for m in range(k)) / (k + 1))
-    return known
-
-
 @pytest.fixture
 def fresh_cache(monkeypatch):
     """A new, empty SequenceCache installed as the module's shared cache."""
@@ -64,24 +58,75 @@ def fresh_cache(monkeypatch):
     return cache
 
 
-class TestScaledBernoulliRecurrence:
-    ORACLE = _bernoulli_oracle(200)
+class TestBernoulliFromZeta:
+    ORACLE = exact_oracle.bernoulli_numbers(300)
 
     def test_fresh_cache_matches_oracle(self, fresh_cache):
-        assert bernoulli(200) == self.ORACLE[200]
-        assert [bernoulli(n) for n in range(201)] == self.ORACLE
+        assert bernoulli(300) == self.ORACLE[300]
+        assert [bernoulli(n) for n in range(301)] == self.ORACLE
 
     def test_cache_grown_in_steps_matches_oracle(self, fresh_cache):
-        for n in (0, 1, 2, 3, 7, 8, 50, 51, 120, 119, 200):
+        for n in (0, 1, 2, 3, 7, 8, 50, 51, 120, 119, 300, 200):
             assert bernoulli(n) == self.ORACLE[n]
-        assert [bernoulli(n) for n in range(201)] == self.ORACLE
+        assert [bernoulli(n) for n in range(301)] == self.ORACLE
 
-    def test_cache_keeps_scaled_integers(self, fresh_cache):
-        bernoulli(60)
-        assert sorted(fresh_cache.scaled_bernoulli) == list(range(61))
-        for k, c in fresh_cache.scaled_bernoulli.items():
-            assert isinstance(c, int)
-            assert c == self.ORACLE[k] * factorial(k + 1)
+    def test_von_staudt_clausen(self):
+        # B_n + sum of 1/p over the primes p with (p - 1) | n is an integer.
+        # Every even n <= 300, then every 24th up to the cap's n = 2062
+        # (multiples of 24 have many such p); all of them take about 2 s.
+        primes = special_numbers._primes_to(2063)
+        for n in [*range(2, 301, 2), *range(312, 2062, 24), 2062]:
+            fractional = sum(Fraction(1, p) for p in primes if n % (p - 1) == 0)
+            assert (bernoulli(n) + fractional).denominator == 1, n
+
+    def test_cyclic_identity_at_1000(self):
+        # reads the zigzag route: A0(n) = 2^(n-1) (2^n - 1) |B_n|
+        assert cyclic_zigzag(1000) == 2**999 * (2**1000 - 1) * abs(bernoulli(1000))
+
+    @pytest.mark.parametrize("guard", [0, 2])
+    def test_starved_guard_raises(self, fresh_cache, monkeypatch, guard):
+        monkeypatch.setattr(special_numbers, "_GUARD_BITS", guard)
+        for n in (2, 4, 20, 60, 300, 1000):
+            with pytest.raises(RuntimeError, match="does not certify an integer"):
+                bernoulli(n)
+            with pytest.raises(RuntimeError, match="does not certify an integer"):
+                euler_number(n)
+        assert fresh_cache.bernoulli.keys() == {0, 1} and fresh_cache.euler.keys() == {0}
+
+
+class TestLValueKernel:
+    def test_machin_pi_against_decimal(self, fresh_cache):
+        # pi to 1300 digits by the decimal module's documented series
+        with localcontext() as ctx:
+            ctx.prec = 1300
+            three = Decimal(3)
+            lasts, t, total, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+            while total != lasts:
+                lasts = total
+                n, na = n + na, na + 8
+                d, da = d + da, da + 32
+                t = (t * n) / d
+                total += t
+            for bits in (64, 100, 1000, 4000, 300):
+                assert abs(Decimal(special_numbers._machin_pi(bits)) - total * 2**bits) < 3
+
+    def test_machin_pi_cache_grows_geometrically(self, fresh_cache):
+        special_numbers._machin_pi(100)
+        assert fresh_cache.pi[0] == 100
+        special_numbers._machin_pi(150)
+        assert fresh_cache.pi[0] == 200
+        special_numbers._machin_pi(90)
+        assert fresh_cache.pi[0] == 200
+
+    @pytest.mark.parametrize("s,chi4,value", [
+        (2, False, math.pi**2 / 6), (4, False, math.pi**4 / 90), (3, True, math.pi**3 / 32),
+    ])
+    def test_euler_product_within_its_tail(self, s, chi4, value):
+        # one rounding per prime below 2^-50 each, and a tail below P^(1-s) / (s - 1)
+        limit = 1000
+        product = special_numbers._euler_product(s, chi4, 60, limit) / 2**60
+        assert abs(product / value - 1) <= limit ** (1 - s) / (s - 1) + 1e-12
+        assert product <= value or chi4
 
 
 class TestPowerSum:
@@ -233,6 +278,10 @@ class TestBruteForceIndependence:
 class TestEulerNumbers:
     def test_table(self):
         assert [euler_number(n) for n in (0, 2, 4, 6, 8)] == [1, -1, 5, -61, 1385]
+
+    def test_equal_signed_zigzag_counts(self, fresh_cache):
+        for n in [*range(0, 301, 2), 1000]:
+            assert euler_number(n) == (-1) ** (n // 2) * zigzag(n), n
 
     def test_odd_rejected(self):
         with pytest.raises(ValueError):

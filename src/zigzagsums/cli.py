@@ -4,7 +4,7 @@ Subcommands: sums, tables, volume, ratio-limit, verify, zigzag, bernoulli,
 euler, g-eval, spectrum.  Exact values always print as a lowest-terms
 rational times an explicit pi power; floats are formatted with --digits
 significant digits.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.
+error, 141 (128 + SIGPIPE) when the reader of stdout has closed the pipe.
 
 Each handler ``cmd_x(args, opts)`` prints nothing and returns ``(payload,
 text)``, both built from values it computes once.  ``main`` resolves the
@@ -12,7 +12,9 @@ options once, prints ``json.dumps(payload)`` under --json and the text
 otherwise, and reports ValueError, OSError, RuntimeError, OverflowError and
 MemoryError as ``error: ...`` on stderr with exit code 2.  The payload of
 verify is its VerificationReport, printed by its own to_json; a failed check
-exits 1.
+exits 1.  The output is flushed inside ``main``, so a closed pipe surfaces
+there as BrokenPipeError: stdout is pointed at os.devnull, so that the flush
+at shutdown fails no more, and ``main`` returns 141 with no message.
 
 The rules on what a value may be (n >= 1 for sums, even n for cyclic
 counts, |z| < 1 for g-eval, 1 <= top <= grid for spectrum, ...) belong to
@@ -76,7 +78,8 @@ DEFAULTS = {"digits": 12, **report.run_suite.__kwdefaults__}
 # Largest Nystrom grid accepted.  It bounds verify's dense traces
 # (nystrom_traces): one N x N matrix takes 8 N^2 bytes (134 MB at N = 4096)
 # and they hold two at once.  The spectrum and the lattice-count trace of
-# volume ... spectral build no array.
+# volume ... spectral build no array, and the kernel's entries are a view
+# of 2N - 1 doubles.
 GRID_LIMIT = 4096
 
 # Largest Monte Carlo sample count accepted.  Run time is linear in the count
@@ -454,8 +457,13 @@ def main(argv: list[str] | None = None) -> int:
         verified = isinstance(payload, report.VerificationReport)
         if opts["json"]:
             text = payload.to_json() if verified else json.dumps(payload)
-        print(text)
+        print(text, flush=True)
         return 1 if verified and not payload.all_passed() else 0
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError, RuntimeError, OverflowError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

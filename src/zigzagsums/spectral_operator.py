@@ -22,8 +22,9 @@ Two complementary views are implemented:
     traces of M^2, M^3 and M^4 from dense products of one kernel and one
     square M @ M, computed by row blocks over its upper triangle and
     mirrored, bit for bit equal to the full product (see ``_square``).
-    Only those dense traces build N x N arrays: the eigenfunction residual
-    sums in closed form.
+    Only those dense traces build N x N arrays: the kernel's entries are a
+    read-only view of 2N - 1 doubles, and the eigenfunction residual sums in
+    closed form.
 
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
@@ -78,28 +79,31 @@ def grid_midpoints(N: int) -> np.ndarray:
 
 
 def _kernel_entries(N: int) -> np.ndarray:
-    """The dense N x N entries: (pi/2)/N where i + j + 1 < N, else 0.
+    """The N x N entries as a read-only Hankel view: (pi/2)/N where i + j + 1 < N, else 0.
 
     Cell (i, j) lies inside the open triangle iff u_i + u_j < pi/2, that is
     iff i + j + 1 < N.  The test is made on the integers: the float midpoint
-    sums of boundary cells (i + j + 1 = N) can round below pi/2.  Row i is
-    filled on its first N - 1 - i cells.
+    sums of boundary cells (i + j + 1 = N) can round below pi/2.  Each entry
+    depends on i + j alone, so the 2N - 1 doubles v_s = (pi/2)/N for
+    s < N - 1, else 0, determine the matrix: entry (i, j) is v[i + j], read
+    through a sliding window of length N that shares v's memory.  The view
+    is neither writable nor contiguous; a caller that needs a BLAS operand
+    or an output buffer copies it with ``np.array``.
     """
     import numpy as np
 
-    w = HALF_PI / N
-    entries = np.zeros((N, N))
-    for i in range(N - 1):
-        entries[i, : N - 1 - i] = w
-    return entries
+    v = np.zeros(2 * N - 1)
+    v[: N - 1] = HALF_PI / N
+    return np.lib.stride_tricks.sliding_window_view(v, N)
 
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Midpoint Nystrom matrix: entries (pi/2)/N on cells inside the open triangle, else 0.
 
-    Only the grid size N is stored.  The dense ``entries`` (8 N^2 bytes) are
-    assembled on first access and kept; the closed-form spectrum reads N alone.
+    Only the grid size N is stored.  ``entries`` is a read-only N x N view
+    of 2N - 1 doubles (O(N) memory, see ``_kernel_entries``), assembled on
+    first access and kept; the closed-form spectrum reads N alone.
     """
 
     N: int
@@ -115,8 +119,8 @@ class KernelMatrix:
 def nystrom_matrix(N: int) -> KernelMatrix:
     """The N x N midpoint discretization of the triangle kernel; requires N >= 2.
 
-    Constant time: the dense entries are assembled on first access to
-    ``entries``.
+    Constant time: the read-only view of the entries, O(N) memory, is
+    assembled on first access to ``entries``.
     """
     return KernelMatrix(N)
 
@@ -409,13 +413,16 @@ def nystrom_traces(N: int) -> tuple[float, float, float]:
     elementwise product, bit for bit equal to the trace from
     numpy.linalg.matrix_power.  The products round, so the values agree
     with ``trace_power_nystrom`` only to the rounding error of dense
-    products of nonnegative entries, not bit for bit.  They are written
-    over arrays nothing later reads, so two N x N arrays are live at once.
+    products of nonnegative entries, not bit for bit.  The kernel's view is
+    copied to a writable C-contiguous array, the BLAS operand of ``_square``
+    and the output of the elementwise products; those are written over
+    arrays nothing later reads, so two N x N arrays are live at once.  These
+    are the only N x N arrays the module builds.
     """
     _check_grid(N)
     import numpy as np
 
-    m = _kernel_entries(N)
+    m = np.array(_kernel_entries(N))
     trace2 = float(np.sum(m * m))
     square = _square(m)
     trace3 = float(np.sum(np.multiply(square, m, out=m)))

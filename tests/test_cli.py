@@ -900,6 +900,17 @@ class TestErrorMapping:
         assert out == ""
         assert err == "error: no answer\n"
 
+    def test_closed_pipe_exits_141_quietly(self, capsys, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(["sums", "5"]) == 141
+            # stdout now writes to the null device, so the flush at shutdown succeeds
+            assert os.fstat(write_end).st_rdev == os.stat(os.devnull).st_rdev
+            monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+
 
 class TestParser:
     def test_missing_command(self, capsys):
@@ -917,13 +928,17 @@ class TestModuleEntryPoint:
     """``python -m zigzagsums`` runs the same main as the console script."""
 
     @staticmethod
-    def _run_module(*argv):
+    def _env():
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         env["PYTHONIOENCODING"] = "utf-8"
         env.pop(cli.CONFIG_ENV, None)
-        return subprocess.run([sys.executable, "-m", "zigzagsums", *argv], env=env,
+        return env
+
+    @classmethod
+    def _run_module(cls, *argv):
+        return subprocess.run([sys.executable, "-m", "zigzagsums", *argv], env=cls._env(),
                               capture_output=True, encoding="utf-8", timeout=60)
 
     def test_usage_error_exits_2(self):
@@ -935,3 +950,22 @@ class TestModuleEntryPoint:
         proc = self._run_module("sums", "2")
         assert proc.returncode == 0
         assert proc.stdout.startswith("S(2) = 1/8 · pi^2")
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("argv", [["tables"], ["sums", "5"]])
+    def test_closed_pipe_exits_141_quietly(self, argv, unbuffered):
+        # block-buffered, the output would meet the closed pipe only in the
+        # flush at shutdown, which exits 120 with "Exception ignored"
+        env = self._env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "zigzagsums", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
+        finally:
+            proc.kill()
+            proc.stderr.close()

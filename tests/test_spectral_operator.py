@@ -36,7 +36,7 @@ def _lapack_spectrum(N):
 
 def _trace_oracle(N, n):
     """Oracle: the trace as the sum of a freshly allocated elementwise product."""
-    m = nystrom_matrix(N).entries
+    m = np.array(nystrom_matrix(N).entries)
     a = n // 2
     ma = np.linalg.matrix_power(m, a)
     mb = ma if n - a == a else np.linalg.matrix_power(m, n - a)
@@ -355,7 +355,7 @@ class TestNystromMatrix:
     def test_row_sums_approximate_operator_on_one(self):
         N = 500
         matrix = nystrom_matrix(N)
-        applied = matrix.entries @ np.ones(N)
+        applied = np.array(matrix.entries) @ np.ones(N)
         expected = math.pi / 2 - grid_midpoints(N)
         assert np.max(np.abs(applied - expected)) < 2 * (math.pi / 2) / N
 
@@ -383,6 +383,21 @@ class TestNystromMatrix:
     def test_boundary_cells_excluded(self, N):
         # the float midpoint sums of some cells with i + j + 1 = N round below pi/2
         assert np.count_nonzero(nystrom_matrix(N).entries) == N * (N - 1) // 2
+
+    def test_entries_read_only(self):
+        entries = nystrom_matrix(5).entries
+        with pytest.raises(ValueError):
+            entries[0, 0] = 1.0
+
+    def test_entries_in_linear_memory(self):
+        # one dense 4096 x 4096 array takes 134 MB; the view holds 8191 doubles
+        tracemalloc.start()
+        try:
+            assert np.count_nonzero(nystrom_matrix(4096).entries) == 4096 * 4095 // 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 class TestEigenvalues:
@@ -670,7 +685,7 @@ class TestTraces:
 
     @pytest.mark.parametrize("N", [512, 520, 777, 1000, 1032, 2000])
     def test_blocked_square_equals_full_product(self, N):
-        m = nystrom_matrix(N).entries
+        m = np.array(nystrom_matrix(N).entries)
         assert np.array_equal(spectral_operator._square(m), m @ m)
         # a dense symmetric matrix with no structure to hide a changed sum order
         x = np.random.default_rng(N).random((N, N))

@@ -12,9 +12,12 @@ options once, prints ``json.dumps(payload)`` under --json and the text
 otherwise, and reports ValueError, OSError, RuntimeError, OverflowError and
 MemoryError as ``error: ...`` on stderr with exit code 2.  The payload of
 verify is its VerificationReport, printed by its own to_json; a failed check
-exits 1.  The output is flushed inside ``main``, so a closed pipe surfaces
-there as BrokenPipeError: stdout is pointed at os.devnull, so that the flush
-at shutdown fails no more, and ``main`` returns 141 with no message.
+exits 1.  ``verify --timings`` first writes the report's timings to stderr,
+one JSON object per line: {"id", "s"} for each check and {"suite", "s"} for
+each suite, so stdout stays byte-identical.  The output is flushed inside
+``main``, so a closed pipe surfaces there as BrokenPipeError: stdout is
+pointed at os.devnull, so that the flush at shutdown fails no more, and
+``main`` returns 141 with no message.
 
 The rules on what a value may be (n >= 1 for sums, even n for cyclic
 counts, |z| < 1 for g-eval, 1 <= top <= grid for spectrum, ...) belong to
@@ -77,9 +80,13 @@ DEFAULTS = {"digits": 12, **report.run_suite.__kwdefaults__}
 
 # Largest Nystrom grid accepted.  It bounds verify's dense traces
 # (nystrom_traces): one N x N matrix takes 8 N^2 bytes (134 MB at N = 4096)
-# and they hold two at once.  The spectrum and the lattice-count trace of
-# volume ... spectral build no array, and the kernel's entries are a view
-# of 2N - 1 doubles.
+# and they hold two at once.  Their square costs one 8-row BLAS block on a
+# grid that is a multiple of 8 and the full N^3 product on any other: at the
+# cap nystrom_traces takes 0.32 s of CPU time and 0.18 s wall (1.52 s and
+# 0.79 s with the full product), and at N = 4095, which takes the full
+# product, 2.1 s and 1.05 s (medians of 5-10 calls; Xeon, 2 CPUs).  The
+# spectrum and the lattice-count trace of volume ... spectral build no array,
+# and the kernel's entries are a view of 2N - 1 doubles.
 GRID_LIMIT = 4096
 
 # Largest Monte Carlo sample count accepted.  Run time is linear in the count
@@ -422,6 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=report.SUITES)
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="write per-check and per-suite seconds to stderr as JSON lines",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("zigzag", parents=[common], help="alternating permutation counts")
@@ -455,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
         opts = _resolve(args)
         payload, text = args.func(args, opts)
         verified = isinstance(payload, report.VerificationReport)
+        if verified and args.timings:
+            for entry in payload.timings:
+                print(json.dumps(entry), file=sys.stderr)
         if opts["json"]:
             text = payload.to_json() if verified else json.dumps(payload)
         print(text, flush=True)

@@ -10,9 +10,9 @@ status, and printable expected/actual/tolerance fields.  Suites:
   spectral    Nystrom eigenvalues, traces, and eigenfunction residuals
   all         everything above
 
-Each suite yields its checks; ``run_suite`` collects them and refuses a
-repeated id.  ``TABLES`` holds the reference values of the exact suite, and
-the tables command prints from it too.  Reports are deterministic for fixed
+Each suite yields its checks; ``run_suite`` draws them one at a time,
+timing each, and refuses a repeated id.  ``TABLES`` holds the reference
+values of the exact suite, and the tables command prints from it too.  Reports are deterministic for fixed
 inputs (no timestamps), so repeated runs produce byte-identical JSON.
 
 The Monte Carlo gate can fail a correct estimator by chance.  Under the
@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from . import __version__
 from .euler_sums import (
@@ -120,8 +122,17 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
+    """The checks and metadata that ``to_json`` prints, and the run's timings.
+
+    ``timings`` holds one {"id", "s"} entry per check drawn, a discarded
+    Monte Carlo pass included, and one {"suite", "s"} entry per suite run,
+    in seconds.  They vary from run to run, so neither the JSON nor the
+    text rendering reads them, and report equality ignores them.
+    """
+
     checks: list[CheckResult] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    timings: list[dict] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def summary(self) -> dict:
@@ -338,6 +349,17 @@ def _spectral_checks(grid: int):
                           "pass" if residual < 1e-4 else "fail", "< 0.0001", str(residual), "0.0001")
 
 
+def _draw(checks: Iterator[CheckResult], timings: list[dict]) -> list[CheckResult]:
+    """The checks as a list, drawn one at a time; each one's seconds go to timings as {"id", "s"}."""
+    drawn = []
+    start = time.perf_counter()
+    for check in checks:
+        timings.append({"id": check.id, "s": time.perf_counter() - start})
+        drawn.append(check)
+        start = time.perf_counter()
+    return drawn
+
+
 def run_suite(
     suite: str = "all",
     *,
@@ -352,18 +374,25 @@ def run_suite(
         _check_run(samples, seed)
     if suite in ("spectral", "all") and grid < SPECTRAL_RANKS:
         raise ValueError(f"the spectral checks need a grid of at least {SPECTRAL_RANKS}, not {grid}")
+    passes = {
+        "exact": _exact_checks,
+        "numeric": _numeric_checks,
+        "montecarlo": lambda: _montecarlo_checks(seed, samples, ""),
+        "spectral": lambda: _spectral_checks(grid),
+    }
     checks: list[CheckResult] = []
+    timings: list[dict] = []
     retried = False
-    if suite in ("exact", "all"):
-        checks += _exact_checks()
-    if suite in ("numeric", "all"):
-        checks += _numeric_checks()
-    if suite in ("montecarlo", "all"):
-        first = list(_montecarlo_checks(seed, samples, ""))
-        retried = any(check.status == "fail" for check in first)
-        checks += _montecarlo_checks(seed + 1, samples, ".retry") if retried else first
-    if suite in ("spectral", "all"):
-        checks += _spectral_checks(grid)
+    for name, first_pass in passes.items():
+        if suite not in (name, "all"):
+            continue
+        start = time.perf_counter()
+        drawn = _draw(first_pass(), timings)
+        if name == "montecarlo" and any(check.status == "fail" for check in drawn):
+            retried = True
+            drawn = _draw(_montecarlo_checks(seed + 1, samples, ".retry"), timings)
+        checks += drawn
+        timings.append({"suite": name, "s": time.perf_counter() - start})
     ids = [check.id for check in checks]
     if len(set(ids)) < len(ids):
         raise ValueError(f"duplicate check id {next(i for i in ids if ids.count(i) > 1)}")
@@ -377,4 +406,4 @@ def run_suite(
         "version": __version__,
         "notes": list(CORRECTION_NOTES),
     }
-    return VerificationReport(checks=checks, metadata=metadata)
+    return VerificationReport(checks=checks, metadata=metadata, timings=timings)

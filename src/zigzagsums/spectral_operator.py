@@ -20,8 +20,10 @@ Two complementary views are implemented:
     cyclic polytope in exact integers, (pi/2N)^n L_n(N - 2), and builds no
     array.  ``nystrom_traces(N)``, the verify suite's call, returns the
     traces of M^2, M^3 and M^4 from dense products of one kernel and one
-    square M @ M, computed by row blocks over its upper triangle and
-    mirrored, bit for bit equal to the full product (see ``_square``).
+    square M @ M.  Entry (i, j) of that square depends on max(i, j) alone,
+    so on grids whose size is a multiple of 8 it is spread from the first
+    row of one 8-row BLAS block, bit for bit equal to the full product;
+    other grids take the full product (see ``_kernel_square``).
     Only those dense traces build N x N arrays: the kernel's entries are a
     read-only view of 2N - 1 doubles, and the eigenfunction residual sums in
     closed form.
@@ -56,12 +58,9 @@ HALF_PI = math.pi / 2
 # Degree of the exact operator iterates grows linearly; keep desk scale.
 T_POWER_LIMIT = 40
 
-# Rows per block of the blocked square in the dense traces; every block edge
-# is a multiple of it or N (see _square).
-SQUARE_ROWS = 256
-
-# The blocked square serves grids whose size is a multiple of this; other
-# grids have ragged BLAS edge tiles and take the full product (see _square).
+# The kernel square comes from one row block of this many rows on grids whose
+# size is a multiple of it; other grids have ragged BLAS edge tiles and take
+# the full product (see _kernel_square).
 SQUARE_ALIGN = 8
 
 
@@ -308,37 +307,32 @@ def exact_eigenvalue(rank: int) -> float:
     return 1.0 / (4 * _rank_mode(rank) + 1)
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """x @ x for a symmetric x, equal to the full product bit for bit, in about half its flops.
+def _kernel_square(m: np.ndarray) -> np.ndarray:
+    """m @ m for the dense Nystrom kernel m = c J, bit for bit, from one BLAS row block.
 
-    BLAS accumulates each output entry over K in an order set by K and by
-    the kernel that computes the entry's register tile.  Row blocks of
-    SQUARE_ROWS rows, each taken against the columns from its own first row
-    on, start every row and column range at a multiple of SQUARE_ROWS and
-    end it there or at N, so each entry they compute is the entry of x @ x.
-    The transpose of each block fills the lower triangle: (i, j) and (j, i)
-    sum the same products in the same order.
+    (J^2)_ij counts max(0, N - 1 - max(i, j)) products.  BLAS sums entry
+    (i, j) over k in k order: that many equal products c c, then exact
+    zeros, which leave a partial sum unchanged.  Where every tile runs the
+    same microkernel, the entry thus depends on max(i, j) alone: it is
+    g[max(i, j)] for the product's row 0, g.  Each step rounds a sum of
+    nonnegative numbers, and rounding is monotone, so g does not increase
+    and g[max(i, j)] = min(g_i, g_j).  The k range stays whole, as BLAS
+    splits it into blocks by its length, and row 0 comes from a block of
+    SQUARE_ALIGN rows: a single row takes gemv, whose sums differed at 148
+    of the 150 aligned N up to 1200 (OpenBLAS 0.3.31), and 2 rows differed
+    at most aligned N from 392 to 704.
 
-    That holds on grids whose size is a multiple of SQUARE_ALIGN.  On other
-    grids the last N mod 8 columns come from edge kernels whose sums depend
-    on the width and the row split of the call, and the last rows of x @ x
-    differ from its last columns in the last bits (OpenBLAS's SkylakeX
-    kernel at N = 654, 767 and 1007), so those grids take the full product.
-    A last block of a few rows changes bits too, so it takes more than
-    SQUARE_ROWS / 2 and at most 3 SQUARE_ROWS / 2 rows.  The test suite
-    checks the result against x @ x, on random symmetric matrices as well.
+    That held at every multiple of SQUARE_ALIGN up to 4096, the CLI's grid
+    cap, with one BLAS thread and with two.  Other grids have ragged edge
+    tiles whose sums differ (at 52 of those below 400, 20 among them), so
+    they take the full product.  The tests check the result against m @ m.
     """
     import numpy as np
 
-    N = x.shape[0]
-    if N % SQUARE_ALIGN or N < 2 * SQUARE_ROWS:
-        return x @ x
-    out = np.empty((N, N))
-    edges = list(range(0, N - SQUARE_ROWS // 2, SQUARE_ROWS)) + [N]
-    for i0, i1 in zip(edges, edges[1:]):
-        np.matmul(x[i0:i1], x[:, i0:], out=out[i0:i1, i0:])
-        out[i1:, i0:i1] = out[i0:i1, i1:].T
-    return out
+    if m.shape[0] % SQUARE_ALIGN:
+        return m @ m
+    g = (m[:SQUARE_ALIGN] @ m)[0]
+    return np.minimum.outer(g, g)
 
 
 def _closed_walks(t: int, n: int) -> int:
@@ -409,22 +403,22 @@ def nystrom_traces(N: int) -> tuple[float, float, float]:
 
     The verify suite's traces, from dense products rather than the lattice
     counts of ``trace_power_nystrom``: the three share one kernel and one
-    full square M @ M from ``_square``, and each trace is the sum of an
+    square M @ M from ``_kernel_square``, and each trace is the sum of an
     elementwise product, bit for bit equal to the trace from
     numpy.linalg.matrix_power.  The products round, so the values agree
     with ``trace_power_nystrom`` only to the rounding error of dense
     products of nonnegative entries, not bit for bit.  The kernel's view is
-    copied to a writable C-contiguous array, the BLAS operand of ``_square``
-    and the output of the elementwise products; those are written over
-    arrays nothing later reads, so two N x N arrays are live at once.  These
-    are the only N x N arrays the module builds.
+    copied to a writable C-contiguous array, the BLAS operand of
+    ``_kernel_square`` and the output of the elementwise products; those
+    are written over arrays nothing later reads, so two N x N arrays are
+    live at once.  These are the only N x N arrays the module builds.
     """
     _check_grid(N)
     import numpy as np
 
     m = np.array(_kernel_entries(N))
     trace2 = float(np.sum(m * m))
-    square = _square(m)
+    square = _kernel_square(m)
     trace3 = float(np.sum(np.multiply(square, m, out=m)))
     trace4 = float(np.sum(np.multiply(square, square, out=square)))
     return trace2, trace3, trace4

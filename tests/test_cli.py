@@ -467,6 +467,17 @@ class TestVerify:
         assert out.rstrip("\n") == report.run_suite("numeric").to_json()
         assert json.loads(out)["metadata"]["grid"] == 2000
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_timings_go_to_stderr_and_leave_stdout_alone(self, capsys, flags):
+        code, plain, plain_err = run(capsys, "verify", "numeric", *flags)
+        timed_code, out, err = run(capsys, "verify", "numeric", *flags, "--timings")
+        assert (timed_code, out, plain_err) == (code, plain, "")
+        entries = [json.loads(line) for line in err.splitlines()]
+        checks = report.run_suite("numeric").checks
+        assert [sorted(entry) for entry in entries] == [["id", "s"]] * len(checks) + [["s", "suite"]]
+        assert [entry.get("id") for entry in entries[:-1]] == [c.id for c in checks]
+        assert entries[-1]["suite"] == "numeric"
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["verify", "bogus"])

@@ -153,6 +153,14 @@ class TestMonteCarloSuite:
         ]
         assert report.all_passed()
 
+    def test_timings_include_the_discarded_pass(self, monkeypatch):
+        self._miss_volumes(monkeypatch, {0})
+        report = run_suite("montecarlo", seed=0, samples=50000)
+        ids = [entry.get("id") for entry in report.timings]
+        first = [c.id.removesuffix(".retry") for c in report.checks]
+        assert ids == first + [c.id for c in report.checks] + [None]
+        assert report.timings[-1]["suite"] == "montecarlo"
+
     def test_miss_at_both_seeds_fails_verify(self, capsys, monkeypatch):
         self._miss_volumes(monkeypatch, {0, 1})
         assert cli.main(["verify", "montecarlo", "--samples", "50000", "--quiet"]) == 1
@@ -180,6 +188,31 @@ class TestMonteCarloSuite:
                 run_suite(suite, samples=10**4)
 
 
+class TestTimings:
+    def test_each_check_then_its_suite(self):
+        report = run_suite("all", samples=10**4, grid=400)
+        checks = iter(report.checks)
+        entries = report.timings
+        suites = [i for i, entry in enumerate(entries) if "suite" in entry]
+        assert [entries[i]["suite"] for i in suites] == list(SUITES[:-1])
+        start = 0
+        for i in suites:
+            name = entries[i]["suite"]
+            own = entries[start:i]
+            assert [entry["id"] for entry in own] == [next(checks).id for _ in own]
+            assert all(entry["id"].startswith(name + ".") for entry in own)
+            # the checks' intervals are disjoint parts of the suite's
+            assert 0 <= sum(entry["s"] for entry in own) <= entries[i]["s"] + 1e-9
+            start = i + 1
+        assert next(checks, None) is None
+
+    def test_not_serialized_and_not_compared(self):
+        report = run_suite("numeric")
+        assert report.timings
+        assert report == dataclasses.replace(report, timings=[])
+        assert "timings" not in json.loads(report.to_json())
+
+
 class TestSpectralSuite:
     def test_passes_at_reduced_grid(self):
         report = run_suite("spectral", grid=400)
@@ -189,13 +222,13 @@ class TestSpectralSuite:
         assert "spectral.spectral_sum.3" in ids
 
     def test_traces_share_one_square(self, monkeypatch):
-        real = spectral_operator._square
+        real = spectral_operator._kernel_square
         calls = []
 
         def counting(x):
             calls.append(x.shape)
             return real(x)
 
-        monkeypatch.setattr(spectral_operator, "_square", counting)
+        monkeypatch.setattr(spectral_operator, "_kernel_square", counting)
         assert run_suite("spectral").all_passed()
         assert len(calls) == 1

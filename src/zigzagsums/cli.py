@@ -14,7 +14,8 @@ MemoryError as ``error: ...`` on stderr with exit code 2.  The payload of
 verify is its VerificationReport, printed by its own to_json; a failed check
 exits 1.  ``verify --timings`` first writes the report's timings to stderr,
 one JSON object per line: {"id", "s"} for each check and {"suite", "s"} for
-each suite, so stdout stays byte-identical.  The output is flushed inside
+each suite, so stdout stays byte-identical; the check during which numpy was
+first imported also carries "imports": ["numpy"].  The output is flushed inside
 ``main``, so a closed pipe surfaces there as BrokenPipeError: stdout is
 pointed at os.devnull, so that the flush at shutdown fails no more, and
 ``main`` returns 141 with no message.
@@ -79,12 +80,13 @@ CONFIG_ENV = "ZIGZAGSUMS_CONFIG"
 DEFAULTS = {"digits": 12, **report.run_suite.__kwdefaults__}
 
 # Largest Nystrom grid accepted.  It bounds verify's dense traces
-# (nystrom_traces): one N x N matrix takes 8 N^2 bytes (134 MB at N = 4096)
-# and they hold two at once.  Their square costs one 8-row BLAS block on a
-# grid that is a multiple of 8 and the full N^3 product on any other: at the
-# cap nystrom_traces takes 0.32 s of CPU time and 0.18 s wall (1.52 s and
-# 0.79 s with the full product), and at N = 4095, which takes the full
-# product, 2.1 s and 1.05 s (medians of 5-10 calls; Xeon, 2 CPUs).  The
+# (nystrom_traces): one N x N matrix takes 8 N^2 bytes (134 MB at N = 4096).
+# On a grid that is a multiple of 8 their square costs one 8-row BLAS block
+# and is spread into the kernel's own buffer, so they hold one array; any
+# other grid takes the full N^3 product and holds two.  At the cap
+# nystrom_traces takes 0.21-0.29 s of CPU time, 0.10-0.16 s wall and 159 MB
+# peak RSS, and at N = 4095 2.0 s, 1.04 s and 298 MB (medians of 10 calls in
+# process; Xeon, 2 CPUs).  The
 # spectrum and the lattice-count trace of volume ... spectral build no array,
 # and the kernel's entries are a view of 2N - 1 doubles.
 GRID_LIMIT = 4096
@@ -397,7 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, help="Monte Carlo samples (default 10^6, at most 10^8)"
     )
     common.add_argument(
-        "--grid", type=int, help=f"Nystrom grid size (default 2000, at most {GRID_LIMIT})"
+        "--grid",
+        type=int,
+        help=f"Nystrom grid size (default 2000, at most {GRID_LIMIT}); verify's dense traces"
+        " take a one-block square on multiples of 8 and the full N^3 product on other grids",
     )
     common.add_argument("--quiet", action="store_true", help="suppress secondary output")
 

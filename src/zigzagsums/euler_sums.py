@@ -12,8 +12,9 @@ that rational by these routes, plus direct float summation:
 The Bernoulli and Euler routes are independent of the zigzag counts:
 bernoulli and euler_number round Euler products for zeta(n) and beta(n+1)
 (see special_numbers), so their agreement with s_coeff is a second
-computation.  l4_coeff is not: it equals s_coeff by construction, and its
-check tests only the conversion constant.
+computation.  l4_coeff, pi^(-n) L(n, chi_4) for odd n, reads the Euler
+numbers too, as |E_(n-1)| / (2^(n+1) (n-1)!); its check at n = 1 reads
+E_0 = 1 and so tests the conversion constant.
 
 The Bernoulli and Euler conversion constants are the calibrated forms: the
 variants sometimes printed without the factorial factor (or with it moved
@@ -142,10 +143,15 @@ def zeta_coeff(n: int) -> Fraction:
 
 
 def l4_coeff(n: int) -> Fraction:
-    """The exact rational pi^(-n) L(n, chi_4) for odd n; equals s_coeff(n)."""
+    """The exact rational pi^(-n) L(n, chi_4) for odd n: |E_(n-1)| / (2^(n+1) (n-1)!).
+
+    L(n, chi_4) is the Dirichlet beta value beta(n), which for odd n equals
+    S(n); the Euler number comes from the Euler product for beta, not from
+    the zigzag counts.
+    """
     if n < 1 or n % 2 != 1:
         raise ValueError("the alternating L-value route requires odd n >= 1")
-    return s_coeff(n)
+    return Fraction(abs(euler_number(n - 1)), 2 ** (n + 1) * math.factorial(n - 1))
 
 
 def s_value(n: int) -> PiMultiple:

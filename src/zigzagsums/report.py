@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -126,7 +127,9 @@ class VerificationReport:
 
     ``timings`` holds one {"id", "s"} entry per check drawn, a discarded
     Monte Carlo pass included, and one {"suite", "s"} entry per suite run,
-    in seconds.  They vary from run to run, so neither the JSON nor the
+    in seconds.  The check during whose draw numpy was first imported also
+    carries "imports": ["numpy"], since its seconds include that import.
+    They vary from run to run, so neither the JSON nor the
     text rendering reads them, and report equality ignores them.
     """
 
@@ -350,11 +353,19 @@ def _spectral_checks(grid: int):
 
 
 def _draw(checks: Iterator[CheckResult], timings: list[dict]) -> list[CheckResult]:
-    """The checks as a list, drawn one at a time; each one's seconds go to timings as {"id", "s"}."""
+    """The checks as a list, drawn one at a time; each one's seconds go to timings as {"id", "s"}.
+
+    A check whose draw first imported numpy is marked "imports": ["numpy"].
+    """
     drawn = []
+    numpy_loaded = "numpy" in sys.modules
     start = time.perf_counter()
     for check in checks:
-        timings.append({"id": check.id, "s": time.perf_counter() - start})
+        entry = {"id": check.id, "s": time.perf_counter() - start}
+        if not numpy_loaded and "numpy" in sys.modules:
+            numpy_loaded = True
+            entry["imports"] = ["numpy"]
+        timings.append(entry)
         drawn.append(check)
         start = time.perf_counter()
     return drawn

@@ -22,8 +22,9 @@ Two complementary views are implemented:
     traces of M^2, M^3 and M^4 from dense products of one kernel and one
     square M @ M.  Entry (i, j) of that square depends on max(i, j) alone,
     so on grids whose size is a multiple of 8 it is spread from the first
-    row of one 8-row BLAS block, bit for bit equal to the full product;
-    other grids take the full product (see ``_kernel_square``).
+    row of one 8-row BLAS block, bit for bit equal to the full product
+    (see ``_square_row``), into the one N x N buffer that holds the
+    kernel's copy; other grids take the full product, a second array.
     Only those dense traces build N x N arrays: the kernel's entries are a
     read-only view of 2N - 1 doubles, and the eigenfunction residual sums in
     closed form.
@@ -60,7 +61,7 @@ T_POWER_LIMIT = 40
 
 # The kernel square comes from one row block of this many rows on grids whose
 # size is a multiple of it; other grids have ragged BLAS edge tiles and take
-# the full product (see _kernel_square).
+# the full product (see _square_row).
 SQUARE_ALIGN = 8
 
 
@@ -307,32 +308,29 @@ def exact_eigenvalue(rank: int) -> float:
     return 1.0 / (4 * _rank_mode(rank) + 1)
 
 
-def _kernel_square(m: np.ndarray) -> np.ndarray:
-    """m @ m for the dense Nystrom kernel m = c J, bit for bit, from one BLAS row block.
+def _square_row(m: np.ndarray) -> np.ndarray:
+    """Row 0 of m @ m for the dense Nystrom kernel m = c J, N a multiple of SQUARE_ALIGN.
 
-    (J^2)_ij counts max(0, N - 1 - max(i, j)) products.  BLAS sums entry
-    (i, j) over k in k order: that many equal products c c, then exact
-    zeros, which leave a partial sum unchanged.  Where every tile runs the
-    same microkernel, the entry thus depends on max(i, j) alone: it is
-    g[max(i, j)] for the product's row 0, g.  Each step rounds a sum of
-    nonnegative numbers, and rounding is monotone, so g does not increase
-    and g[max(i, j)] = min(g_i, g_j).  The k range stays whole, as BLAS
-    splits it into blocks by its length, and row 0 comes from a block of
-    SQUARE_ALIGN rows: a single row takes gemv, whose sums differed at 148
-    of the 150 aligned N up to 1200 (OpenBLAS 0.3.31), and 2 rows differed
-    at most aligned N from 392 to 704.
+    The whole square is min(g_i, g_j) for this row g, bit for bit.  (J^2)_ij
+    counts max(0, N - 1 - max(i, j)) products.  BLAS sums entry (i, j) over
+    k in k order: that many equal products c c, then exact zeros, which
+    leave a partial sum unchanged.  Where every tile runs the same
+    microkernel, the entry thus depends on max(i, j) alone: it is
+    g[max(i, j)].  Each step rounds a sum of nonnegative numbers, and
+    rounding is monotone, so g does not increase and g[max(i, j)] =
+    min(g_i, g_j).  The k range stays whole, as BLAS splits it into blocks
+    by its length, and row 0 comes from a block of SQUARE_ALIGN rows: a
+    single row takes gemv, whose sums differed at 148 of the 150 aligned N
+    up to 1200 (OpenBLAS 0.3.31), and 2 rows differed at most aligned N
+    from 392 to 704.
 
     That held at every multiple of SQUARE_ALIGN up to 4096, the CLI's grid
     cap, with one BLAS thread and with two.  Other grids have ragged edge
     tiles whose sums differ (at 52 of those below 400, 20 among them), so
-    they take the full product.  The tests check the result against m @ m.
+    ``nystrom_traces`` takes the full product there.  The tests check the
+    spread square against m @ m.
     """
-    import numpy as np
-
-    if m.shape[0] % SQUARE_ALIGN:
-        return m @ m
-    g = (m[:SQUARE_ALIGN] @ m)[0]
-    return np.minimum.outer(g, g)
+    return (m[:SQUARE_ALIGN] @ m)[0]
 
 
 def _closed_walks(t: int, n: int) -> int:
@@ -402,24 +400,40 @@ def nystrom_traces(N: int) -> tuple[float, float, float]:
     """trace(M^2), trace(M^3) and trace(M^4) from dense products of the Nystrom matrix.
 
     The verify suite's traces, from dense products rather than the lattice
-    counts of ``trace_power_nystrom``: the three share one kernel and one
-    square M @ M from ``_kernel_square``, and each trace is the sum of an
-    elementwise product, bit for bit equal to the trace from
-    numpy.linalg.matrix_power.  The products round, so the values agree
-    with ``trace_power_nystrom`` only to the rounding error of dense
-    products of nonnegative entries, not bit for bit.  The kernel's view is
-    copied to a writable C-contiguous array, the BLAS operand of
-    ``_kernel_square`` and the output of the elementwise products; those
-    are written over arrays nothing later reads, so two N x N arrays are
-    live at once.  These are the only N x N arrays the module builds.
+    counts of ``trace_power_nystrom``: each trace is the sum of an
+    elementwise product of the kernel and one square M @ M, bit for bit
+    equal to the trace from numpy.linalg.matrix_power.  The products round,
+    so the values agree with ``trace_power_nystrom`` only to the rounding
+    error of dense products of nonnegative entries, not bit for bit.
+
+    The kernel's view is copied once to a writable C-contiguous array m, the
+    BLAS operand of the square and then the buffer every elementwise
+    product is written to; the other factor is read from the view.  On
+    grids that are a multiple of SQUARE_ALIGN the square is spread into
+    that same buffer from the first row of one BLAS row block
+    (``_square_row``), once for trace(M^3) and again for trace(M^4), so one
+    N x N array is live.  Other grids keep the full product, a second array.
+    Each sum reads the same doubles in the same layout as a fresh product
+    would, and multiplication is commutative, so no bit depends on which
+    buffer holds them.  These are the only N x N arrays the module builds.
     """
     _check_grid(N)
     import numpy as np
 
-    m = np.array(_kernel_entries(N))
-    trace2 = float(np.sum(m * m))
-    square = _kernel_square(m)
-    trace3 = float(np.sum(np.multiply(square, m, out=m)))
+    kernel = _kernel_entries(N)
+    m = np.array(kernel)
+    spread = N % SQUARE_ALIGN == 0
+    if spread:
+        g = _square_row(m)
+        square = m
+    else:
+        square = m @ m
+    trace2 = float(np.sum(np.multiply(m, m, out=m)))
+    if spread:
+        np.minimum.outer(g, g, out=square)
+    trace3 = float(np.sum(np.multiply(square, kernel, out=m)))
+    if spread:
+        np.minimum.outer(g, g, out=square)
     trace4 = float(np.sum(np.multiply(square, square, out=square)))
     return trace2, trace3, trace4
 

@@ -952,6 +952,20 @@ class TestModuleEntryPoint:
         return subprocess.run([sys.executable, "-m", "zigzagsums", *argv], env=cls._env(),
                               capture_output=True, encoding="utf-8", timeout=60)
 
+    def test_timings_mark_the_check_that_imported_numpy(self, capsys):
+        # a fresh process loads numpy inside one exact check; once numpy is
+        # loaded, no check is marked
+        proc = self._run_module("verify", "exact", "--timings")
+        assert proc.returncode == 0
+        entries = [json.loads(line) for line in proc.stderr.splitlines()]
+        marked = [entry for entry in entries if "imports" in entry]
+        assert len(marked) == 1 and marked[0]["imports"] == ["numpy"] and "id" in marked[0]
+        import numpy  # noqa: F401
+
+        code, _, err = run(capsys, "verify", "exact", "--timings")
+        assert code == 0
+        assert not any("imports" in json.loads(line) for line in err.splitlines())
+
     def test_usage_error_exits_2(self):
         proc = self._run_module("sums", "0")
         assert (proc.returncode, proc.stdout, proc.stderr) == (

@@ -87,6 +87,11 @@ class TestZetaAndL:
         assert l4_coeff(1) == Fraction(1, 4)
         assert l4_coeff(7) == s_coeff(7)
 
+    def test_l4_euler_route_matches_zigzag_route(self):
+        # l4_coeff reads the Euler numbers, s_coeff the zigzag counts
+        for n in range(1, 200, 2):
+            assert l4_coeff(n) == s_coeff(n), n
+
     def test_parity_rejected(self):
         with pytest.raises(ValueError):
             zeta_coeff(3)

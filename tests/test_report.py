@@ -222,13 +222,15 @@ class TestSpectralSuite:
         assert "spectral.spectral_sum.3" in ids
 
     def test_traces_share_one_square(self, monkeypatch):
-        real = spectral_operator._kernel_square
+        # the default grid, 2000, is aligned: its one square is spread from
+        # one BLAS row block
+        real = spectral_operator._square_row
         calls = []
 
         def counting(x):
             calls.append(x.shape)
             return real(x)
 
-        monkeypatch.setattr(spectral_operator, "_kernel_square", counting)
+        monkeypatch.setattr(spectral_operator, "_square_row", counting)
         assert run_suite("spectral").all_passed()
         assert len(calls) == 1

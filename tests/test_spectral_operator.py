@@ -637,10 +637,12 @@ class TestTraces:
             gap = abs(Fraction(trace_power_nystrom(N, n)) - Fraction(_trace_oracle(N, n)))
             assert gap <= Fraction(rel) * exact_hi, n
 
-    @pytest.mark.parametrize("N", [2, 3, 7, 100, 257, 520, 777, 1000, 1032, 2000])
+    @pytest.mark.parametrize("N", [2, 3, 7, 8, 16, 100, 257, 520, 777, 1000, 1032, 2000])
     def test_bit_identical_to_fresh_product(self, N):
         # the dense traces verify reads: 2, 3, 7, 100, 257 and 777 take the
-        # full square, 520, 1000, 1032 and 2000 the one spread from a row block
+        # full square, 8, 16, 520, 1000, 1032 and 2000 the one spread from a
+        # row block into the kernel's buffer; at 8 the block is the whole
+        # kernel, at 16 half of it
         assert nystrom_traces(N) == tuple(_trace_oracle(N, n) for n in (2, 3, 4))
 
     @pytest.mark.parametrize("N", [5, 100, 511, 512, 654, 1007, 2000])
@@ -667,7 +669,7 @@ class TestTraces:
             raise AssertionError("a dense kernel or square was built")
 
         monkeypatch.setattr(spectral_operator, "_kernel_entries", refuse)
-        monkeypatch.setattr(spectral_operator, "_kernel_square", refuse)
+        monkeypatch.setattr(spectral_operator, "_square_row", refuse)
         assert trace_power_nystrom(64, n) > 0
 
     def test_builds_no_array(self):
@@ -687,17 +689,33 @@ class TestTraces:
         # aligned grids spread the first row of one 8-row block, which must
         # not increase along the row for min(g_i, g_j) to be g[max(i, j)]
         m = np.array(nystrom_matrix(N).entries)
-        assert np.array_equal(spectral_operator._kernel_square(m), m @ m)
-        g = (m[: spectral_operator.SQUARE_ALIGN] @ m)[0]
+        g = spectral_operator._square_row(m)
+        assert np.array_equal(np.minimum.outer(g, g), m @ m)
         assert np.all(np.diff(g) <= 0)
 
     @pytest.mark.parametrize("N", [654, 767, 1007])
-    def test_unaligned_kernel_square_is_full_product(self, N):
+    def test_unaligned_kernel_square_is_full_product(self, monkeypatch, N):
         # on these grids, with OpenBLAS 0.3.31, a square spread from a row
         # block differs from m @ m in the last bits, as their ragged edge
         # tiles sum differently; they must keep the full product
-        m = np.array(nystrom_matrix(N).entries)
-        assert np.array_equal(spectral_operator._kernel_square(m), m @ m)
+        def refuse(*args):
+            raise AssertionError("an unaligned grid took the row block")
+
+        monkeypatch.setattr(spectral_operator, "_square_row", refuse)
+        assert nystrom_traces(N) == tuple(_trace_oracle(N, n) for n in (2, 3, 4))
+
+    @pytest.mark.parametrize("N,arrays", [(1024, 1.1), (1023, 2.1)])
+    def test_dense_traces_hold_one_array_on_aligned_grids(self, N, arrays):
+        # the aligned grid spreads the square into the kernel's buffer, so
+        # its peak is one N x N array and a few rows; the unaligned grid
+        # keeps the full product beside it, and no third array
+        tracemalloc.start()
+        try:
+            nystrom_traces(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 8 * N * N
 
 
 class TestEigenfunctionResidual:

@@ -13,7 +13,6 @@ from .euler_sums import (
     PiMultiple,
     SNumeric,
     g_eval,
-    l4_coeff,
     s_coeff,
     s_coeff_via_bernoulli,
     s_coeff_via_euler,
@@ -44,14 +43,11 @@ from .special_numbers import (
     cyclic_zigzag,
     cyclic_zigzag_bruteforce,
     euler_number,
-    is_alternating,
-    is_cyclically_alternating,
     power_sum,
     zigzag,
     zigzag_bruteforce,
 )
 from .spectral_operator import (
-    KernelMatrix,
     eigenfunction_residual,
     fourier_coeff_const,
     inner_product_one,
@@ -64,7 +60,6 @@ from .spectral_operator import (
 
 __all__ = [
     "GEval",
-    "KernelMatrix",
     "McEstimate",
     "PartialOrder",
     "PiMultiple",
@@ -84,11 +79,8 @@ __all__ = [
     "g_eval",
     "inner_product_one",
     "inverse_map",
-    "is_alternating",
-    "is_cyclically_alternating",
     "jacobian_fd",
     "jacobian_formula",
-    "l4_coeff",
     "linear_extension_count",
     "mc_cube_integral",
     "mc_volume",

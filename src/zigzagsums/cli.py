@@ -54,7 +54,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__, report
-from .euler_sums import PiMultiple, g_eval, l4_coeff, s_value, zeta_coeff
+from .euler_sums import PiMultiple, g_eval, s_coeff_via_euler, s_value, zeta_coeff
 from .polytope_lab import (
     EXTENSION_LIMIT,
     McEstimate,
@@ -240,7 +240,7 @@ def cmd_sums(args: argparse.Namespace, opts: dict) -> tuple[dict, str]:
     if n % 2 == 0:
         name, label, coeff = "zeta", f"zeta({n})", zeta_coeff(n)
     else:
-        name, label, coeff = "l4", f"L({n}, chi4)", l4_coeff(n)
+        name, label, coeff = "l4", f"L({n}, chi4)", s_coeff_via_euler(n)
     partner_json, partner_text = _exact(label, PiMultiple(coeff, n), opts["digits"])
     return {"n": n, "s": s_json, name: partner_json}, f"{s_text}\n{partner_text}"
 

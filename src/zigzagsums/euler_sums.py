@@ -12,8 +12,8 @@ that rational by these routes, plus direct float summation:
 The Bernoulli and Euler routes are independent of the zigzag counts:
 bernoulli and euler_number round Euler products for zeta(n) and beta(n+1)
 (see special_numbers), so their agreement with s_coeff is a second
-computation.  l4_coeff, pi^(-n) L(n, chi_4) for odd n, reads the Euler
-numbers too, as |E_(n-1)| / (2^(n+1) (n-1)!); its check at n = 1 reads
+computation.  For odd n, S(n) is L(n, chi_4) = beta(n) itself, so
+s_coeff_via_euler is also the L-value route; its check at n = 1 reads
 E_0 = 1 and so tests the conversion constant.
 
 The Bernoulli and Euler conversion constants are the calibrated forms: the
@@ -128,7 +128,11 @@ def s_coeff_via_bernoulli(n: int) -> Fraction:
 
 
 def s_coeff_via_euler(n: int) -> Fraction:
-    """pi^(-n) S(n) for odd n, from the Euler number E_(n-1)."""
+    """pi^(-n) S(n) for odd n, from the Euler number E_(n-1).
+
+    For odd n, S(n) is the Dirichlet beta value beta(n) = L(n, chi_4), so
+    this is also pi^(-n) L(n, chi_4) = |E_(n-1)| / (2^(n+1) (n-1)!).
+    """
     if n < 1 or n % 2 != 1:
         raise ValueError("the Euler route requires odd n >= 1")
     m = (n - 1) // 2
@@ -140,18 +144,6 @@ def zeta_coeff(n: int) -> Fraction:
     if n < 2 or n % 2 != 0:
         raise ValueError("zeta(n) is a rational multiple of pi^n only for even n >= 2")
     return s_coeff(n) * 2**n / (2**n - 1)
-
-
-def l4_coeff(n: int) -> Fraction:
-    """The exact rational pi^(-n) L(n, chi_4) for odd n: |E_(n-1)| / (2^(n+1) (n-1)!).
-
-    L(n, chi_4) is the Dirichlet beta value beta(n), which for odd n equals
-    S(n); the Euler number comes from the Euler product for beta, not from
-    the zigzag counts.
-    """
-    if n < 1 or n % 2 != 1:
-        raise ValueError("the alternating L-value route requires odd n >= 1")
-    return Fraction(abs(euler_number(n - 1)), 2 ** (n + 1) * math.factorial(n - 1))
 
 
 def s_value(n: int) -> PiMultiple:

@@ -22,11 +22,6 @@ sized to the CPUs the process may use (numpy releases the interpreter lock
 while it draws and computes), all handed to one ``Executor.map``, and their
 sums and squared deviations are folded in chunk order, so the estimates do
 not depend on the thread count.
-Fixed-seed estimates have changed twice: once when SFC64 and the
-coordinate-major blocks replaced a point-major Philox stream, which cut the
-Monte Carlo CPU time to about a third, and once when the volume estimate
-stopped drawing the even coordinates and the n = 2 cube integrand was
-substituted to a bounded one (see ``mc_volume`` and ``mc_cube_integral``).
 
 numpy is imported inside the functions that build arrays (``contains``,
 the Monte Carlo chunks and summands, ``jacobian_fd`` and
@@ -467,15 +462,11 @@ def jacobian_fd(u: Sequence[float]) -> float:
     return float(np.linalg.det(jac))
 
 
-def contraction_map(x: float, u: float) -> float:
-    """The basic contraction f_x(u) = arcsin(x cos u) on (0, pi/2), for 0 < x < 1."""
-    return math.asin(x * math.cos(u))
-
-
 def inverse_map(x: Sequence[float]) -> tuple[float, ...]:
     """The unique preimage of x in (0,1)^n under the forward map.
 
-    Iterates the composite f_{x_1} o ... o f_{x_n} on u_1 from pi/4 until
+    Starting from u_1 = pi/4, iterates the composite f_{x_1} o ... o f_{x_n}
+    of the contractions f_x(u) = arcsin(x cos u) of (0, pi/2) until
     successive iterates differ by less than ``INVERSE_TOL``, then back-substitutes
     u_i = f_{x_i}(u_{i+1}).  The composite is a strict contraction, but its
     rate approaches 1 near the corner (1,...,1), so slow inputs raise
@@ -487,7 +478,7 @@ def inverse_map(x: Sequence[float]) -> tuple[float, ...]:
     for xi in x:
         if not 0.0 < xi < 1.0:
             raise ValueError("all coordinates must lie in the open interval (0, 1)")
-    # contraction_map inlined, with the math functions bound locally
+    # f_x inlined, with the math functions bound locally
     asin, cos = math.asin, math.cos
     backward = tuple(reversed(x))
     u1 = math.pi / 4

@@ -43,7 +43,6 @@ from typing import Iterator
 from . import __version__
 from .euler_sums import (
     g_eval,
-    l4_coeff,
     s_coeff,
     s_coeff_via_bernoulli,
     s_coeff_via_euler,
@@ -240,7 +239,8 @@ def _odd_bernoulli_by_recurrence(top):
 
 def _exact_checks():
     yield from _table_checks(TABLES[:2])
-    yield _exact("exact.l4_coeff.1", "alternating L-value coefficient at n=1", Fraction(1, 4), l4_coeff(1))
+    yield _exact("exact.l4_coeff.1", "alternating L-value coefficient at n=1",
+                 Fraction(1, 4), s_coeff_via_euler(1))
     yield from _table_checks(TABLES[2:3])
     yield _exact("exact.bernoulli.1", "Bernoulli number B_1", Fraction(-1, 2), bernoulli(1))
     yield _exact("exact.bernoulli.odd", "odd Bernoulli numbers vanish for 3 <= n <= 19",

@@ -23,7 +23,7 @@ The numbers come from three independent directions:
 
 None of the three reads another, so E_2m = (-1)^m A(2m) and
 A0(2m) = 2^(2m-1) (2^2m - 1) |B_2m| are cross-checks.  The cyclic counts
-come from A0(2m) = m * A(2m-1).  A permutation is a plain tuple of images
+come from A0(2m) = m * A(2m-1).  A permutation is a row of images
 (sigma(1), ..., sigma(n)).
 
 numpy is imported only inside the two functions that build the frontier
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, compress
 from math import ceil, comb, factorial, floor, isqrt, log2, pi, prod
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -270,27 +270,6 @@ def zigzag(n: int) -> int:
     return cache.zigzag[n]
 
 
-def is_alternating(perm: Sequence[int]) -> bool:
-    """True iff sigma(1) < sigma(2) > sigma(3) < sigma(4) > ..."""
-    for i in range(len(perm) - 1):
-        if i % 2 == 0:
-            if perm[i] >= perm[i + 1]:
-                return False
-        elif perm[i] <= perm[i + 1]:
-            return False
-    return True
-
-
-def is_cyclically_alternating(perm: Sequence[int]) -> bool:
-    """True iff perm is alternating, of even positive length, and wraps around.
-
-    The wrap condition is sigma(n) > sigma(1), which closes the chain
-    sigma(1) < sigma(2) > ... < sigma(n) > sigma(1).
-    """
-    n = len(perm)
-    return n > 0 and n % 2 == 0 and is_alternating(perm) and perm[-1] > perm[0]
-
-
 def _frontier_leaves(n: int) -> np.ndarray:
     """Every permutation of {1..n} whose up/down pattern holds at each step.
 
@@ -319,11 +298,13 @@ def _frontier_leaves(n: int) -> np.ndarray:
 
 
 def _leaf_checks(leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``is_alternating`` and ``is_cyclically_alternating`` on permutations.
+    """Row-wise alternation masks of candidate permutations, from the definition.
 
     The first mask is true where the row is a permutation of 1..n (its
-    sorted values are 1..n) whose differences alternate in sign, rising
-    first; the second also needs even n >= 2 and last > first.
+    sorted values are 1..n) that is alternating: its differences alternate
+    in sign, rising first, sigma(1) < sigma(2) > sigma(3) < ...  The second
+    also needs cyclic alternation: even n >= 2 and last > first, which
+    closes the chain ... < sigma(n) > sigma(1).
     """
     import numpy as np
 

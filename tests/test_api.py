@@ -4,14 +4,14 @@ import inspect
 import pytest
 
 import zigzagsums
+from zigzagsums import spectral_operator
 
 PUBLIC = {
-    "GEval", "KernelMatrix", "McEstimate", "PartialOrder", "PiMultiple",
+    "GEval", "McEstimate", "PartialOrder", "PiMultiple",
     "PolytopeSpec", "SNumeric", "VerificationReport", "arctangent_check",
     "bernoulli", "chain_poset", "cyclic_poset", "cyclic_zigzag", "cyclic_zigzag_bruteforce",
     "eigenfunction_residual", "euler_number", "forward_map", "fourier_coeff_const", "g_eval",
-    "inner_product_one", "inverse_map", "is_alternating", "is_cyclically_alternating",
-    "jacobian_fd", "jacobian_formula", "l4_coeff", "linear_extension_count",
+    "inner_product_one", "inverse_map", "jacobian_fd", "jacobian_formula", "linear_extension_count",
     "mc_cube_integral", "mc_volume", "nystrom_matrix", "order_polytope_volume",
     "parseval_sum", "power_sum", "run_suite", "s_coeff", "s_coeff_via_bernoulli",
     "s_coeff_via_euler", "s_numeric", "s_value", "sym_eigenvalues", "t_power_one",
@@ -29,11 +29,15 @@ REMOVED = [
     ("special_numbers", "rotate_by_two"),
     ("polytope_lab", "cube_integrand"),
     ("polytope_lab", "t_to_v_transform"),
+    ("euler_sums", "l4_coeff"),
+    ("special_numbers", "is_alternating"),
+    ("special_numbers", "is_cyclically_alternating"),
+    ("polytope_lab", "contraction_map"),
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(zigzagsums.__all__) == len(PUBLIC) == 46
+    assert len(zigzagsums.__all__) == len(PUBLIC) == 42
     assert set(zigzagsums.__all__) == PUBLIC
 
 
@@ -53,9 +57,15 @@ def test_permutation_alias_is_not_exported():
     assert not hasattr(zigzagsums, "Permutation")
 
 
+def test_kernel_matrix_is_not_exported():
+    # nystrom_matrix still returns one; only the package name is gone
+    assert not hasattr(zigzagsums, "KernelMatrix")
+    assert isinstance(zigzagsums.nystrom_matrix(4), spectral_operator.KernelMatrix)
+
+
 def test_removed_members_are_gone():
-    assert not hasattr(zigzagsums.KernelMatrix, "apply")
-    assert not hasattr(zigzagsums.KernelMatrix, "weight")
+    assert not hasattr(spectral_operator.KernelMatrix, "apply")
+    assert not hasattr(spectral_operator.KernelMatrix, "weight")
     assert not hasattr(zigzagsums.PiMultiple, "to_json")
     assert not hasattr(zigzagsums.PiMultiple, "from_json_dict")
     assert not hasattr(zigzagsums.VerificationReport, "from_json")

@@ -190,6 +190,17 @@ class TestSums:
         }
         assert payload["l4"]["coeff"] == "5/1536"
 
+    @pytest.mark.parametrize("n", [1, 5, 1423])
+    def test_odd_partner_is_the_euler_route(self, capsys, n):
+        # L(n, chi4) = S(n) for odd n; the partner reads the Euler numbers
+        from zigzagsums.euler_sums import s_coeff_via_euler
+
+        code, out, _ = run(capsys, "sums", str(n), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["l4"] == payload["s"]
+        assert payload["l4"]["coeff"] == str(s_coeff_via_euler(n))
+
     def test_digits_flag(self, capsys):
         _, out, _ = run(capsys, "sums", "4", "--digits", "4")
         assert "≈ 1.015" in out
@@ -863,10 +874,10 @@ class TestExactCaps:
             assert err.startswith(f"error: m_max {m} exceeds the limit of {cli.RATIO_LIMIT}: ")
 
     def test_caps_are_the_largest_n_that_print(self):
-        from zigzagsums.euler_sums import l4_coeff, s_coeff, zeta_coeff
+        from zigzagsums.euler_sums import s_coeff, s_coeff_via_euler, zeta_coeff
 
         def sums_values(n):
-            return [s_coeff(n), zeta_coeff(n) if n % 2 == 0 else l4_coeff(n)]
+            return [s_coeff(n), zeta_coeff(n) if n % 2 == 0 else s_coeff_via_euler(n)]
 
         assert all(_fits(v) for v in sums_values(cli.SUMS_LIMIT))
         assert not all(_fits(v) for v in sums_values(cli.SUMS_LIMIT + 1))

@@ -11,7 +11,6 @@ from zigzagsums import euler_sums
 from zigzagsums.euler_sums import (
     PiMultiple,
     g_eval,
-    l4_coeff,
     s_coeff,
     s_coeff_via_bernoulli,
     s_coeff_via_euler,
@@ -84,19 +83,20 @@ class TestZetaAndL:
         assert zeta_coeff(n) == expected
 
     def test_l4(self):
-        assert l4_coeff(1) == Fraction(1, 4)
-        assert l4_coeff(7) == s_coeff(7)
+        # L(n, chi_4) = beta(n) = S(n) for odd n: |E_(n-1)| / (2^(n+1) (n-1)!)
+        assert s_coeff_via_euler(1) == Fraction(1, 4)
+        assert s_coeff_via_euler(7) == s_coeff(7)
 
     def test_l4_euler_route_matches_zigzag_route(self):
-        # l4_coeff reads the Euler numbers, s_coeff the zigzag counts
+        # s_coeff_via_euler reads the Euler numbers, s_coeff the zigzag counts
         for n in range(1, 200, 2):
-            assert l4_coeff(n) == s_coeff(n), n
+            assert s_coeff_via_euler(n) == s_coeff(n), n
 
     def test_parity_rejected(self):
         with pytest.raises(ValueError):
             zeta_coeff(3)
         with pytest.raises(ValueError):
-            l4_coeff(2)
+            s_coeff_via_euler(2)
 
 
 class TestSNumeric:

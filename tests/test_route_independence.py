@@ -42,7 +42,10 @@ PERTURBATIONS = {
     # reads S(1), which it triples, so the series moves by pi |z| / 2 >> 1e-10.
     "special_numbers.zigzag": (_twice_plus_one, "exact.zigzag.10"),
     "special_numbers.bernoulli": (_twice_plus_one, "exact.bernoulli.10"),
-    "euler_sums.l4_coeff": (_twice_plus_one, "exact.l4_coeff.1"),
+    # The Euler route also gives L(n, chi_4); exact.l4_coeff.1 reads E_0 = 1,
+    # which comes from the cache seed, so no _euler_product perturbation
+    # reaches it.
+    "euler_sums.s_coeff_via_euler": (_twice_plus_one, "exact.l4_coeff.1"),
     # 2Z + 1 doubles the Euler product, so every B_n and E_n for n >= 2
     # comes out doubled: the certified error of the doubled value stays
     # under 1/4, so it rounds to 2 |B_n| D or 2 |E_n| instead of raising.

@@ -17,8 +17,6 @@ from zigzagsums.special_numbers import (
     cyclic_zigzag,
     cyclic_zigzag_bruteforce,
     euler_number,
-    is_alternating,
-    is_cyclically_alternating,
     power_sum,
     zigzag,
     zigzag_bruteforce,
@@ -30,6 +28,26 @@ BERNOULLI_EVEN = {0: Fraction(1), 2: Fraction(1, 6), 4: Fraction(-1, 30),
 ZIGZAG = {1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 61, 7: 272, 8: 1385, 9: 7936, 10: 50521}
 
 CYCLIC = {2: 1, 4: 4, 6: 48, 8: 1088, 10: 39680}
+
+
+def is_alternating(perm):
+    """Oracle: True iff sigma(1) < sigma(2) > sigma(3) < sigma(4) > ..."""
+    for i in range(len(perm) - 1):
+        if i % 2 == 0:
+            if perm[i] >= perm[i + 1]:
+                return False
+        elif perm[i] <= perm[i + 1]:
+            return False
+    return True
+
+
+def is_cyclically_alternating(perm):
+    """Oracle: alternating, of even positive length, and sigma(n) > sigma(1).
+
+    The wrap condition closes the chain sigma(1) < sigma(2) > ... < sigma(n) > sigma(1).
+    """
+    n = len(perm)
+    return n > 0 and n % 2 == 0 and is_alternating(perm) and perm[-1] > perm[0]
 
 
 class TestBernoulli:

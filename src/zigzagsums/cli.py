@@ -81,14 +81,13 @@ DEFAULTS = {"digits": 12, **report.run_suite.__kwdefaults__}
 
 # Largest Nystrom grid accepted.  It bounds verify's dense traces
 # (nystrom_traces): one N x N matrix takes 8 N^2 bytes (134 MB at N = 4096).
-# On a grid that is a multiple of 8 their square costs one 8-row BLAS block
-# and is spread into the kernel's own buffer, so they hold one array; any
-# other grid takes the full N^3 product and holds two.  At the cap
-# nystrom_traces takes 0.21-0.29 s of CPU time, 0.10-0.16 s wall and 159 MB
-# peak RSS, and at N = 4095 2.0 s, 1.04 s and 298 MB (medians of 10 calls in
-# process; Xeon, 2 CPUs).  The
-# spectrum and the lattice-count trace of volume ... spectral build no array,
-# and the kernel's entries are a view of 2N - 1 doubles.
+# They pad the kernel with zeros to a multiple of 8, and their square costs
+# one 8-row BLAS block and is spread into the kernel's own buffer, so they
+# hold one array on every grid.  At the cap, and at N = 4095, nystrom_traces
+# takes 0.23-0.27 s of CPU time, 0.11-0.22 s wall and 158-159 MiB peak RSS
+# (medians of 10 calls in process, two runs at each grid; Xeon, 2 CPUs).
+# The spectrum and the lattice-count trace of volume ... spectral build no
+# array, and the kernel's entries are a view of 2N - 1 doubles.
 GRID_LIMIT = 4096
 
 # Largest Monte Carlo sample count accepted.  Run time is linear in the count
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         help=f"Nystrom grid size (default 2000, at most {GRID_LIMIT}); verify's dense traces"
-        " take a one-block square on multiples of 8 and the full N^3 product on other grids",
+        " pad it to a multiple of 8 and take their square from one BLAS row block",
     )
     common.add_argument("--quiet", action="store_true", help="suppress secondary output")
 

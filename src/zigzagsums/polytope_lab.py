@@ -23,9 +23,9 @@ while it draws and computes), all handed to one ``Executor.map``, and their
 sums and squared deviations are folded in chunk order, so the estimates do
 not depend on the thread count.
 
-numpy is imported inside the functions that build arrays (``contains``,
-the Monte Carlo chunks and summands, ``jacobian_fd`` and
-``arctangent_check``), so the exact routes run without loading it.
+numpy is imported inside the functions that build arrays (the Monte Carlo
+chunks and summands, ``jacobian_fd`` and ``arctangent_check``), so the
+exact routes run without loading it.
 """
 
 from __future__ import annotations
@@ -183,19 +183,6 @@ class PolytopeSpec:
         if self.scale == "unit":
             return PiMultiple(unit_volume, 0)
         return PiMultiple(unit_volume / 2**self.n, self.n)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized open-region membership for an (m, n) array of points.
-
-        Boundary points count as outside.
-        """
-        import numpy as np
-
-        u = np.asarray(points, dtype=float)
-        pairs = u + np.roll(u, -1, axis=1)
-        if self.kind == "chain":
-            pairs = pairs[:, :-1]
-        return (u > 0.0).all(axis=1) & (pairs < self.bound).all(axis=1)
 
 
 def volume_formula(spec: PolytopeSpec) -> PiMultiple:

@@ -247,7 +247,7 @@ def power_sum(N: int, p: int) -> PowerSum:
         raise ValueError("p must be nonnegative")
     direct = sum(k**p for k in range(1, N + 1))
     below = (
-        sum(comb(p + 1, m) * bernoulli(m) * Fraction(N) ** (p + 1 - m) for m in range(p + 1))
+        sum(bernoulli(m) * (comb(p + 1, m) * N ** (p + 1 - m)) for m in range(p + 1))
         / (p + 1)
     )
     via = below + N**p - (1 if p == 0 else 0)

@@ -20,14 +20,13 @@ Two complementary views are implemented:
     cyclic polytope in exact integers, (pi/2N)^n L_n(N - 2), and builds no
     array.  ``nystrom_traces(N)``, the verify suite's call, returns the
     traces of M^2, M^3 and M^4 from dense products of one kernel and one
-    square M @ M.  Entry (i, j) of that square depends on max(i, j) alone,
-    so on grids whose size is a multiple of 8 it is spread from the first
-    row of one 8-row BLAS block, bit for bit equal to the full product
-    (see ``_square_row``), into the one N x N buffer that holds the
-    kernel's copy; other grids take the full product, a second array.
-    Only those dense traces build N x N arrays: the kernel's entries are a
-    read-only view of 2N - 1 doubles, and the eigenfunction residual sums in
-    closed form.
+    square M @ M, with the kernel padded by zero rows and columns to a
+    multiple of 8.  Entry (i, j) of that square depends on max(i, j) alone,
+    so it is spread from the first row of one 8-row BLAS block, bit for bit
+    equal to the full product (see ``_square_row``), into the one buffer
+    that holds the kernel's copy.  Only those dense traces build square
+    arrays: the kernel's entries are a read-only view of 2N - 1 doubles, and
+    the eigenfunction residual sums in closed form.
 
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
@@ -59,9 +58,8 @@ HALF_PI = math.pi / 2
 # Degree of the exact operator iterates grows linearly; keep desk scale.
 T_POWER_LIMIT = 40
 
-# The kernel square comes from one row block of this many rows on grids whose
-# size is a multiple of it; other grids have ragged BLAS edge tiles and take
-# the full product (see _square_row).
+# The dense traces pad the kernel to a multiple of this many rows, and their
+# square comes from one row block of that many rows (see _square_row).
 SQUARE_ALIGN = 8
 
 
@@ -78,23 +76,24 @@ def grid_midpoints(N: int) -> np.ndarray:
     return (np.arange(N) + 0.5) * (HALF_PI / N)
 
 
-def _kernel_entries(N: int) -> np.ndarray:
-    """The N x N entries as a read-only Hankel view: (pi/2)/N where i + j + 1 < N, else 0.
+def _kernel_entries(N: int, size: int) -> np.ndarray:
+    """The N-cell kernel as a read-only size x size Hankel view: (pi/2)/N where i + j + 1 < N, else 0.
 
     Cell (i, j) lies inside the open triangle iff u_i + u_j < pi/2, that is
     iff i + j + 1 < N.  The test is made on the integers: the float midpoint
     sums of boundary cells (i + j + 1 = N) can round below pi/2.  Each entry
-    depends on i + j alone, so the 2N - 1 doubles v_s = (pi/2)/N for
+    depends on i + j alone, so the 2*size - 1 doubles v_s = (pi/2)/N for
     s < N - 1, else 0, determine the matrix: entry (i, j) is v[i + j], read
-    through a sliding window of length N that shares v's memory.  The view
-    is neither writable nor contiguous; a caller that needs a BLAS operand
-    or an output buffer copies it with ``np.array``.
+    through a sliding window of length size that shares v's memory.  A size
+    above N pads the kernel with zero rows and columns.  The view is neither
+    writable nor contiguous; a caller that needs a BLAS operand or an output
+    buffer copies it with ``np.array``.
     """
     import numpy as np
 
-    v = np.zeros(2 * N - 1)
+    v = np.zeros(2 * size - 1)
     v[: N - 1] = HALF_PI / N
-    return np.lib.stride_tricks.sliding_window_view(v, N)
+    return np.lib.stride_tricks.sliding_window_view(v, size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +112,7 @@ class KernelMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        return _kernel_entries(self.N)
+        return _kernel_entries(self.N, self.N)
 
 
 def nystrom_matrix(N: int) -> KernelMatrix:
@@ -309,7 +308,7 @@ def exact_eigenvalue(rank: int) -> float:
 
 
 def _square_row(m: np.ndarray) -> np.ndarray:
-    """Row 0 of m @ m for the dense Nystrom kernel m = c J, N a multiple of SQUARE_ALIGN.
+    """Row 0 of m @ m for the dense Nystrom kernel m = c J, padded to a multiple of SQUARE_ALIGN.
 
     The whole square is min(g_i, g_j) for this row g, bit for bit.  (J^2)_ij
     counts max(0, N - 1 - max(i, j)) products.  BLAS sums entry (i, j) over
@@ -325,10 +324,11 @@ def _square_row(m: np.ndarray) -> np.ndarray:
     from 392 to 704.
 
     That held at every multiple of SQUARE_ALIGN up to 4096, the CLI's grid
-    cap, with one BLAS thread and with two.  Other grids have ragged edge
-    tiles whose sums differ (at 52 of those below 400, 20 among them), so
-    ``nystrom_traces`` takes the full product there.  The tests check the
-    spread square against m @ m.
+    cap, with one BLAS thread and with two.  An unpadded grid that is not
+    such a multiple has ragged edge tiles whose sums differ (at 52 of those
+    below 400, 20 among them), which is why ``nystrom_traces`` pads the
+    kernel.  The tests check the spread square against m @ m, padded grids
+    included.
     """
     return (m[:SQUARE_ALIGN] @ m)[0]
 
@@ -402,39 +402,37 @@ def nystrom_traces(N: int) -> tuple[float, float, float]:
     The verify suite's traces, from dense products rather than the lattice
     counts of ``trace_power_nystrom``: each trace is the sum of an
     elementwise product of the kernel and one square M @ M, bit for bit
-    equal to the trace from numpy.linalg.matrix_power.  The products round,
-    so the values agree with ``trace_power_nystrom`` only to the rounding
-    error of dense products of nonnegative entries, not bit for bit.
+    equal to the trace from numpy.linalg.matrix_power of the kernel padded
+    with zero rows and columns to P, the next multiple of SQUARE_ALIGN.
+    The padding adds only zeros to every product, so each trace is the
+    same number; on grids that are not a multiple of SQUARE_ALIGN its last
+    bits may differ from those of the unpadded product.  The products
+    round, so the values agree with ``trace_power_nystrom`` only to the
+    rounding error of dense products of nonnegative entries, not bit for
+    bit.
 
-    The kernel's view is copied once to a writable C-contiguous array m, the
-    BLAS operand of the square and then the buffer every elementwise
-    product is written to; the other factor is read from the view.  On
-    grids that are a multiple of SQUARE_ALIGN the square is spread into
-    that same buffer from the first row of one BLAS row block
-    (``_square_row``), once for trace(M^3) and again for trace(M^4), so one
-    N x N array is live.  Other grids keep the full product, a second array.
-    Each sum reads the same doubles in the same layout as a fresh product
-    would, and multiplication is commutative, so no bit depends on which
-    buffer holds them.  These are the only N x N arrays the module builds.
+    The padded kernel's view is copied once to a writable C-contiguous
+    P x P array m, the BLAS operand of the square and then the buffer every
+    elementwise product is written to; the other factor is read from the
+    view.  The square is spread into that same buffer from the first row of
+    one BLAS row block (``_square_row``), once for trace(M^3) and again for
+    trace(M^4), so one P x P array is live.  Each sum reads the same
+    doubles in the same layout as a fresh product would, and multiplication
+    is commutative, so no bit depends on which buffer holds them.  These
+    are the only square arrays the module builds.
     """
     _check_grid(N)
     import numpy as np
 
-    kernel = _kernel_entries(N)
+    size = -(-N // SQUARE_ALIGN) * SQUARE_ALIGN
+    kernel = _kernel_entries(N, size)
     m = np.array(kernel)
-    spread = N % SQUARE_ALIGN == 0
-    if spread:
-        g = _square_row(m)
-        square = m
-    else:
-        square = m @ m
+    g = _square_row(m)
     trace2 = float(np.sum(np.multiply(m, m, out=m)))
-    if spread:
-        np.minimum.outer(g, g, out=square)
-    trace3 = float(np.sum(np.multiply(square, kernel, out=m)))
-    if spread:
-        np.minimum.outer(g, g, out=square)
-    trace4 = float(np.sum(np.multiply(square, square, out=square)))
+    np.minimum.outer(g, g, out=m)
+    trace3 = float(np.sum(np.multiply(m, kernel, out=m)))
+    np.minimum.outer(g, g, out=m)
+    trace4 = float(np.sum(np.multiply(m, m, out=m)))
     return trace2, trace3, trace4
 
 

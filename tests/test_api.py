@@ -69,6 +69,7 @@ def test_removed_members_are_gone():
     assert not hasattr(zigzagsums.PiMultiple, "to_json")
     assert not hasattr(zigzagsums.PiMultiple, "from_json_dict")
     assert not hasattr(zigzagsums.VerificationReport, "from_json")
+    assert not hasattr(zigzagsums.PolytopeSpec, "contains")
 
 
 def test_exact_arith_holds_only_exact_algebra():

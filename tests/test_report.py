@@ -222,8 +222,9 @@ class TestSpectralSuite:
         assert "spectral.spectral_sum.3" in ids
 
     def test_traces_share_one_square(self, monkeypatch):
-        # the default grid, 2000, is aligned: its one square is spread from
-        # one BLAS row block
+        # every grid spreads its one square from one BLAS row block: the
+        # default, 2000, a multiple of 8, and 401, whose kernel is padded
+        # to 408
         real = spectral_operator._square_row
         calls = []
 
@@ -233,4 +234,7 @@ class TestSpectralSuite:
 
         monkeypatch.setattr(spectral_operator, "_square_row", counting)
         assert run_suite("spectral").all_passed()
-        assert len(calls) == 1
+        assert calls == [(2000, 2000)]
+        calls.clear()
+        assert run_suite("spectral", grid=401).all_passed()
+        assert calls == [(408, 408)]

@@ -34,9 +34,22 @@ def _lapack_spectrum(N):
     return np.linalg.eigvalsh(nystrom_matrix(N).entries)
 
 
+def _padded_size(N):
+    """N rounded up to a multiple of SQUARE_ALIGN."""
+    return -(-N // spectral_operator.SQUARE_ALIGN) * spectral_operator.SQUARE_ALIGN
+
+
+def _padded_kernel(N):
+    """The N-cell kernel with zero rows and columns up to _padded_size(N)."""
+    size = _padded_size(N)
+    m = np.zeros((size, size))
+    m[:N, :N] = nystrom_matrix(N).entries
+    return m
+
+
 def _trace_oracle(N, n):
-    """Oracle: the trace as the sum of a freshly allocated elementwise product."""
-    m = np.array(nystrom_matrix(N).entries)
+    """Oracle: the trace as the sum of a freshly allocated elementwise product of the padded kernel."""
+    m = _padded_kernel(N)
     a = n // 2
     ma = np.linalg.matrix_power(m, a)
     mb = ma if n - a == a else np.linalg.matrix_power(m, n - a)
@@ -639,17 +652,16 @@ class TestTraces:
 
     @pytest.mark.parametrize("N", [2, 3, 7, 8, 16, 100, 257, 520, 777, 1000, 1032, 2000])
     def test_bit_identical_to_fresh_product(self, N):
-        # the dense traces verify reads: 2, 3, 7, 100, 257 and 777 take the
-        # full square, 8, 16, 520, 1000, 1032 and 2000 the one spread from a
-        # row block into the kernel's buffer; at 8 the block is the whole
-        # kernel, at 16 half of it
+        # the dense traces verify reads: 2, 3, 7, 100, 257 and 777 pad the
+        # kernel to a multiple of 8, 8, 16, 520, 1000, 1032 and 2000 need no
+        # padding; at 8 the row block is the whole kernel, at 16 half of it
         assert nystrom_traces(N) == tuple(_trace_oracle(N, n) for n in (2, 3, 4))
 
     @pytest.mark.parametrize("N", [5, 100, 511, 512, 654, 1007, 2000])
     def test_shared_traces_equal_separate_traces(self, N):
-        # 512 and 2000 take the square spread from a row block, the other
-        # grids the full product; the dense traces agree with the exact
-        # counts to the rounding of dense products
+        # 512 and 2000 need no padding, the other grids do; the dense
+        # traces agree with the exact counts to the rounding of dense
+        # products
         traces = nystrom_traces(N)
         assert traces == tuple(_trace_oracle(N, n) for n in (2, 3, 4))
         for n, trace in zip((2, 3, 4), traces):
@@ -684,38 +696,40 @@ class TestTraces:
         # far below one array of N doubles
         assert peak <= 8 * N // 100
 
-    @pytest.mark.parametrize("N", [8, 16, 512, 520, 1000, 1032, 2000])
+    @pytest.mark.parametrize("N", [*range(8, 130, 8), 512, 520, 1000, 1032, 2000])
     def test_kernel_square_equals_full_product(self, N):
-        # aligned grids spread the first row of one 8-row block, which must
-        # not increase along the row for min(g_i, g_j) to be g[max(i, j)]
+        # grids that are a multiple of 8 need no padding; the first row of
+        # one 8-row block must not increase along the row for min(g_i, g_j)
+        # to be g[max(i, j)]
         m = np.array(nystrom_matrix(N).entries)
         g = spectral_operator._square_row(m)
         assert np.array_equal(np.minimum.outer(g, g), m @ m)
         assert np.all(np.diff(g) <= 0)
 
-    @pytest.mark.parametrize("N", [654, 767, 1007])
-    def test_unaligned_kernel_square_is_full_product(self, monkeypatch, N):
-        # on these grids, with OpenBLAS 0.3.31, a square spread from a row
-        # block differs from m @ m in the last bits, as their ragged edge
-        # tiles sum differently; they must keep the full product
-        def refuse(*args):
-            raise AssertionError("an unaligned grid took the row block")
+    @pytest.mark.parametrize("N", [N for N in range(2, 130) if N % 8] + [654, 767, 1007, 2001])
+    def test_unaligned_kernel_square_is_full_product(self, N):
+        # unpadded, a square spread from a row block differs from m @ m in
+        # the last bits at many of these grids (20, 68, 76, ..., 654, 767,
+        # 1007 with OpenBLAS 0.3.31), whose ragged edge tiles sum
+        # differently; padded with zeros to a multiple of 8, it must not
+        m = _padded_kernel(N)
+        g = spectral_operator._square_row(m)
+        assert np.array_equal(np.minimum.outer(g, g), m @ m)
+        assert np.all(np.diff(g) <= 0)
 
-        monkeypatch.setattr(spectral_operator, "_square_row", refuse)
-        assert nystrom_traces(N) == tuple(_trace_oracle(N, n) for n in (2, 3, 4))
-
-    @pytest.mark.parametrize("N,arrays", [(1024, 1.1), (1023, 2.1)])
-    def test_dense_traces_hold_one_array_on_aligned_grids(self, N, arrays):
-        # the aligned grid spreads the square into the kernel's buffer, so
-        # its peak is one N x N array and a few rows; the unaligned grid
-        # keeps the full product beside it, and no third array
+    @pytest.mark.parametrize("N", [1024, 1023, 4095])
+    def test_dense_traces_hold_one_array(self, N):
+        # the square is spread into the buffer of the padded kernel's copy,
+        # so the peak is one P x P array and a few rows, P the grid rounded
+        # up to a multiple of 8
+        size = _padded_size(N)
         tracemalloc.start()
         try:
             nystrom_traces(N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= arrays * 8 * N * N
+        assert peak <= 1.1 * 8 * size * size
 
 
 class TestEigenfunctionResidual:

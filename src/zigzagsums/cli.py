@@ -30,8 +30,9 @@ volume ... spectral|cube-integral.
 Defaults (grid 2000, samples 10^6, seed 0, digits 12) may be overridden by a
 flat key=value config file named by the ZIGZAGSUMS_CONFIG environment
 variable, and by command-line flags, in that order of precedence; unknown
-config keys are ignored with a warning on stderr, and an unreadable file, a
-non-integer value or a resolved digits below 0 exits 2.  The grid-using
+config keys and non-comment lines without '=' are ignored with a warning on
+stderr, and an unreadable file, a non-integer value or a resolved digits
+below 0 exits 2.  The grid-using
 commands (volume ... spectral, spectrum, verify) refuse a resolved grid above
 GRID_LIMIT, and the sampling commands (volume ... montecarlo, volume ...
 cube-integral, verify) resolved samples above SAMPLES_LIMIT.  sums, zigzag,
@@ -149,7 +150,10 @@ def _load_config() -> dict:
     values: dict = {}
     for line in lines:
         line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            print(f"warning: line {line!r} without '=' in config file {path} ignored", file=sys.stderr)
             continue
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()

@@ -43,9 +43,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import truediv
-from typing import TYPE_CHECKING, Iterator
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING
 
 from .euler_sums import PiMultiple, _fsum_with_stop, _lattice_rest, _outward
 from .exact_arith import VPiPoly
@@ -172,19 +171,15 @@ def parseval_sum(n: int, K: int) -> float:
     Converges to (4/pi) S(n+2), the inner product of 1 with its (n+1)-th
     operator iterate, as K grows.
 
-    The terms stream through C-level ``map`` iterators, with no list: c_k
-    is divided as in ``fourier_coeff_const`` and squared by Python's float
-    ``pow``, and (4k+1)^n is the same libm ``pow`` as ``float(4k+1) ** n``,
-    so every term is the double of the per-term expression.  numpy's
-    vectorised power is not used: it differs from libm in the last bit of
-    some terms.  For n = 0 the division by (4k+1)^0 = 1.0, which is exact,
-    is skipped.  Where the float (4k+1)^n passes the float range (from
-    k = 1 at n = 442, from k = 3 at n = 300), the term is instead the
-    correctly rounded exact term q^2 (4k+1)^-(n+2), below 2^-1022: a
-    subnormal or 0.0.  The maps stop before the first k >= 1 whose power
-    of 4k + 1 overflows, found by bisection as the power grows with k, and
-    the terms from there on are taken one by one, so every term drawn
-    before that k keeps its bits.
+    Each term is ``pow(q / (4k+1), 2) / pow(4k+1, float(n))`` with
+    q = fl(4/pi): c_k divided as in ``fourier_coeff_const`` and squared by
+    Python's float ``pow``, and (4k+1)^n the same libm ``pow`` as
+    ``float(4k+1) ** n``, so every term is the double of the per-term
+    expression.  numpy's vectorised power is not used: it differs from libm
+    in the last bit of some terms.  Where the float (4k+1)^n passes the
+    float range (from k = 1 at n = 442, from k = 3 at n = 300), ``pow``
+    raises ``OverflowError`` and the term is instead the correctly rounded
+    exact term q^2 (4k+1)^-(n+2), below 2^-1022: a subnormal or 0.0.
 
     The terms stream from the centre out, k = 0, 1, -1, 2, -2, ..., and the
     value is (pi/4) fsum(terms) bit for bit: math.fsum is correctly rounded
@@ -192,8 +187,8 @@ def parseval_sum(n: int, K: int) -> float:
     change the double (``_fsum_with_stop``): 19208 of the 200001 terms at
     n = 0, K = 10^5 and 1164 of the 20001 at n = 1, K = 10^4.  After h
     terms the positive side resumes at k = floor(h/2) + 1 and the negative
-    side at k = -(floor((h-1)/2) + 1).  With q = fl(4/pi), the term of k
-    is q^2 (4k+1)^-(n+2) in exact arithmetic, so the rest is q^2 times
+    side at k = -(floor((h-1)/2) + 1).  The term of k is q^2 (4k+1)^-(n+2)
+    in exact arithmetic, so the rest is q^2 times
     ``_lattice_rest(n + 2, ...)``.  Each term float is within 7.02u
     (u = 2^-53) of its exact value: the division by 4k+1 one rounding,
     the square a pow within 1 ulp (2u) of a value already off by 2u, the
@@ -212,38 +207,14 @@ def parseval_sum(n: int, K: int) -> float:
     q = 4.0 / math.pi
     q_num, q_den = q.as_integer_ratio()
 
-    def bases(a: int, b: int) -> Iterator[int]:  # 4k + 1 for k = a, -a, a + 1, -(a + 1), ..., b, -b
-        return chain.from_iterable(zip(range(4 * a + 1, 4 * b + 2, 4), range(1 - 4 * a, -4 * b, -4)))
-
-    def overflows(k: int) -> bool:
-        try:
-            pow(4 * k + 1, float(n))
-        except OverflowError:
-            return True
-        return False
-
     def term(base: int) -> float:
         try:
             return pow(q / base, 2) / pow(base, float(n))
         except OverflowError:
             return q_num * q_num / (q_den * q_den * base ** (n + 2))
 
-    # The least k >= 1 whose power overflows lies in (below, first], or first = K + 1.
-    below, first = 0, K + 1
-    while first - below > 1:
-        mid = (below + first) // 2
-        if overflows(mid):
-            first = mid
-        else:
-            below = mid
-
-    def head() -> Iterator[int]:  # 4k + 1 for k = 0, 1, -1, ..., first - 1, -(first - 1)
-        return chain((1,), bases(1, first - 1))
-
-    terms = map(pow, map(truediv, repeat(q), head()), repeat(2))
-    if n:
-        terms = map(truediv, terms, map(pow, head(), repeat(float(n))))
-    terms = chain(terms, map(term, bases(first, K)))
+    # 4k + 1 for k = 0, 1, -1, 2, -2, ..., K, -K
+    bases = chain((1,), chain.from_iterable(zip(range(5, 4 * K + 2, 4), range(-3, -4 * K, -4))))
     rel = 2.0**-50 if 4 * K + 1 <= 2**53 else (n + 2) * 2.0**-50
 
     def rest(h: int) -> tuple[float, float]:
@@ -251,7 +222,7 @@ def parseval_sum(n: int, K: int) -> float:
         lo, hi = lo * q * q, hi * q * q
         return _outward([lo, -abs(lo) * 2.0**-51], [hi, abs(hi) * 2.0**-51])
 
-    return _fsum_with_stop(terms, 2 * K + 1, rest, lambda s: (math.pi / 4) * s)
+    return _fsum_with_stop(map(term, bases), 2 * K + 1, rest, lambda s: (math.pi / 4) * s)
 
 
 def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:

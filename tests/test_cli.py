@@ -519,6 +519,19 @@ class TestConfigFile:
         assert warnings[1].startswith("warning: unknown key 'colour'")
         assert all(str(config) in line for line in warnings)
 
+    def test_lines_without_equals_warn_on_stderr_and_are_ignored(self, capsys, tmp_path, monkeypatch):
+        _, plain, _ = run(capsys, "sums", "4")
+        config = tmp_path / "settings.cfg"
+        config.write_text("digits 4\n\n# digits 5\ngrid: 100\n")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        code, out, err = run(capsys, "sums", "4")
+        assert code == 0
+        assert out == plain
+        assert err.splitlines() == [
+            f"warning: line 'digits 4' without '=' in config file {config} ignored",
+            f"warning: line 'grid: 100' without '=' in config file {config} ignored",
+        ]
+
     def test_missing_config_is_fatal(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "absent.cfg"
         monkeypatch.setenv(cli.CONFIG_ENV, str(path))

@@ -222,14 +222,19 @@ class TestFourier:
 
     @staticmethod
     def _count_terms(monkeypatch):
-        """Count the Parseval terms drawn: one division of 4/pi per term."""
+        """Count the Parseval terms drawn: the items _fsum_with_stop takes from its terms."""
         calls = [0]
+        real = spectral_operator._fsum_with_stop
 
-        def counting_truediv(x, y):
-            calls[0] += x == 4.0 / math.pi
-            return x / y
+        def counted(terms, count, rest, finish):
+            def drawn():
+                for t in terms:
+                    calls[0] += 1
+                    yield t
 
-        monkeypatch.setattr(spectral_operator, "truediv", counting_truediv)
+            return real(drawn(), count, rest, finish)
+
+        monkeypatch.setattr(spectral_operator, "_fsum_with_stop", counted)
         return calls
 
     def test_parseval_bit_identical_around_head(self, monkeypatch):
@@ -331,6 +336,13 @@ class TestFourier:
         # (pi/4) (4/pi)^2 sum_{|k| > K} (4k+1)^-2 <= 2 / (pi (4K - 1)); the
         # rest of the gap is the rounding of the terms, of 4/pi and of pi/2
         assert abs(value - math.pi / 2) <= 2 / (math.pi * (4 * K - 1)) + 4 * math.ulp(value)
+        # (4k+1)^300 overflows from k = 3 on and (4k+1)^442 from k = 1; every
+        # term past k = 10 is below 41^-300 times the k = 0 term, far below an ulp
+        for n in (300, 442):
+            start = time.perf_counter()
+            value = parseval_sum(n, K)
+            assert time.perf_counter() - start < 0.5
+            assert value.hex() == parseval_sum(n, 10).hex(), n
 
     def test_parseval_converges_to_inner_product(self):
         for n in (2, 3):

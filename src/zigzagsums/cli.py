@@ -15,7 +15,9 @@ verify is its VerificationReport, printed by its own to_json; a failed check
 exits 1.  ``verify --timings`` first writes the report's timings to stderr,
 one JSON object per line: {"id", "s"} for each check and {"suite", "s"} for
 each suite, so stdout stays byte-identical; the check during which numpy was
-first imported also carries "imports": ["numpy"].  The output is flushed inside
+first imported also carries "imports": ["numpy"], and the first check of a
+Monte Carlo pass carries the sampling of all seven of its estimates, which
+come from one run.  The output is flushed inside
 ``main``, so a closed pipe surfaces there as BrokenPipeError: stdout is
 pointed at os.devnull, so that the flush at shutdown fails no more, and
 ``main`` returns 141 with no message.
@@ -126,9 +128,11 @@ TERMS_LIMIT = 1424
 # Largest dimension of the Monte Carlo and spectral trace routes.  Each
 # Monte Carlo pool worker draws blocks of BLOCK_ROWS float64 per drawn
 # coordinate, 131 kB each: ceil(n/2) coordinates for a volume, n for the
-# cube integral, so at most 4.2 MB at n = 32; 10^6 samples take about
-# 0.012 s (volume) and 0.017 s (cube integral) at n = 8, and 0.05 s and
-# 0.076 s at n = 32 on 2 CPUs.  The spectral trace counts lattice points in
+# cube integral, so at most 4.2 MB at n = 32.  A run of several estimates
+# holds each chunk's first max dim * 65536 doubles per worker instead:
+# 1.5 MB for verify's seven, whose widest has dim 3.  10^6 samples take
+# about 0.012 s (volume) and 0.017 s (cube integral) at n = 8, and 0.05 s
+# and 0.076 s at n = 32 on 2 CPUs.  The spectral trace counts lattice points in
 # O(n^4) integer operations, whatever the grid: at GRID_LIMIT it takes
 # 0.07 s at n = 29 and 0.10 s at n = 32 in process, and a whole
 # `volume cyclic 32 spectral --grid 4096` 0.15-0.19 s and 16 MB peak RSS

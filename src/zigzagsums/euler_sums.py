@@ -158,6 +158,14 @@ def s_value(n: int) -> PiMultiple:
 _REST_LIMIT = 2.0**-63
 _HEAD_LIMIT = 2**16
 
+# The most terms s_numeric and parseval_sum sum.  _fsum_with_stop's
+# underflow pad grows with the terms after the head: at 2^994 terms twice
+# the pad is a quarter of _REST_LIMIT, which leaves the rest's own bracket
+# room to stop the sum, and toward 2^996 it fills all of _REST_LIMIT, so no
+# head stops it and every term would be streamed.  It also keeps 4K + 1
+# inside the float range.
+_TERMS_LIMIT = 2**994
+
 
 def _fsum_with_stop(
     terms: Iterator[float],
@@ -344,12 +352,17 @@ def s_numeric(n: int, K: int) -> SNumeric:
     so that 4k +- 1 is a rounded float, (n + 3) 4u, which also covers
     that rounding raised to the n-th power.  The head at n >= 3 depends on
     n alone; at n = 2 the rounding pad, relative to the rest up to K, grows
-    with K, and so does the head (4096 pairs at K = 10^15).
+    with K, and so does the head (4096 pairs at K = 10^15).  K above 2^994
+    is refused with a ValueError before any term is drawn: there the
+    underflow pad of ``_fsum_with_stop`` leaves the rest no room to stop
+    the sum (``_TERMS_LIMIT``).
     """
     if n < 2:
         raise ValueError("direct summation requires n >= 2")
     if K < 1:
         raise ValueError("K must be positive")
+    if K > _TERMS_LIMIT:
+        raise ValueError("K must be at most 2^994")
     pairs = map(
         add,
         map(pow, range(5, 4 * K + 2, 4), repeat(-n)),  # 4k + 1 for k = 1..K

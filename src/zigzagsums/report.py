@@ -11,8 +11,10 @@ status, and printable expected/actual/tolerance fields.  Suites:
   all         everything above
 
 Each suite yields its checks; ``run_suite`` draws them one at a time,
-timing each, and refuses a repeated id.  ``TABLES`` holds the reference
-values of the exact suite, and the tables command prints from it too.  Reports are deterministic for fixed
+timing each, and refuses a repeated id.  A Monte Carlo pass takes its
+seven estimates from one run, which draws each chunk's stream once.
+``TABLES`` holds the reference values of the exact suite, and the tables
+command prints from it too.  Reports are deterministic for fixed
 inputs (no timestamps), so repeated runs produce byte-identical JSON.
 
 The Monte Carlo gate can fail a correct estimator by chance.  Under the
@@ -53,11 +55,10 @@ from .euler_sums import (
 from .polytope_lab import (
     PolytopeSpec,
     _check_run,
+    _mc_estimates,
     arctangent_check,
     chain_poset,
     cyclic_poset,
-    mc_cube_integral,
-    mc_volume,
     order_polytope_volume,
     volume_formula,
 )
@@ -128,6 +129,8 @@ class VerificationReport:
     Monte Carlo pass included, and one {"suite", "s"} entry per suite run,
     in seconds.  The check during whose draw numpy was first imported also
     carries "imports": ["numpy"], since its seconds include that import.
+    The first check of a Monte Carlo pass carries the pass's sampling, as
+    its seven estimates come from one run.
     They vary from run to run, so neither the JSON nor the
     text rendering reads them, and report equality ignores them.
     """
@@ -303,14 +306,18 @@ def _numeric_checks():
 
 
 def _montecarlo_checks(seed: int, samples: int, suffix: str):
-    """One pass of the Monte Carlo checks on one seed, each id ending in suffix."""
-    cases = [(f"volume.{kind}.{n}", f"{kind} polytope volume in dimension {n}",
-              volume_formula, mc_volume, PolytopeSpec(kind, n, "half_pi")) for kind, n in MC_VOLUME_CASES]
-    cases += [(f"cube.{n}", f"cube integral in dimension {n}", s_value, mc_cube_integral, n)
-              for n in MC_CUBE_DIMENSIONS]
-    for name, what, exact_route, estimator, arg in cases:
+    """One pass of the Monte Carlo checks on one seed, each id ending in suffix.
+
+    The seven estimates come from one run that draws each chunk's stream
+    once, so the first check of the pass carries the whole draw.
+    """
+    specs = [PolytopeSpec(kind, n, "half_pi") for kind, n in MC_VOLUME_CASES]
+    cases = [(f"volume.{spec.kind}.{spec.n}", f"{spec.kind} polytope volume in dimension {spec.n}",
+              volume_formula, spec) for spec in specs]
+    cases += [(f"cube.{n}", f"cube integral in dimension {n}", s_value, n) for n in MC_CUBE_DIMENSIONS]
+    estimates = _mc_estimates(specs, MC_CUBE_DIMENSIONS, samples, seed)
+    for (name, what, exact_route, arg), estimate in zip(cases, estimates):
         exact = exact_route(arg)
-        estimate = estimator(arg, samples, seed)
         yield _within(f"montecarlo.{name}{suffix}", f"{what} at {MC_SIGMAS} standard errors",
                       exact.to_float(), estimate.mean, MC_SIGMAS * estimate.std_error)
 

@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
-from .euler_sums import PiMultiple, _fsum_with_stop, _lattice_rest, _outward
+from .euler_sums import _TERMS_LIMIT, PiMultiple, _fsum_with_stop, _lattice_rest, _outward
 from .exact_arith import VPiPoly
 
 if TYPE_CHECKING:
@@ -199,11 +199,16 @@ def parseval_sum(n: int, K: int) -> float:
     evaluated as (lo q) q, within 2.01u, and stepped out by 4u.  A term
     taken as the rounded exact term is subnormal or 0.0, within 2^-1075 of
     its exact value, which the underflow pad of ``_fsum_with_stop`` covers.
+    K of 2^993 or more, 2K + 1 > 2^994 terms, is refused with a ValueError
+    before any term is drawn: there that pad leaves the rest no room to
+    stop the sum (``euler_sums._TERMS_LIMIT``).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if K < 0:
         raise ValueError("K must be nonnegative")
+    if 2 * K + 1 > _TERMS_LIMIT:
+        raise ValueError("K must be below 2^993")
     q = 4.0 / math.pi
     q_num, q_den = q.as_integer_ratio()
 

@@ -204,8 +204,9 @@ class TestSNumeric:
         assert time.perf_counter() - start < 0.5
         assert value.hex() == s_numeric(8, 10**5).value.hex()
 
-    # K = 10^17 puts 4K + 1 past 2^53, where 4k +- 1 are rounded floats
-    @pytest.mark.parametrize("K", [10**15, 10**17])
+    # K = 10^17 puts 4K + 1 past 2^53, where 4k +- 1 are rounded floats;
+    # 2^994 is the largest K accepted
+    @pytest.mark.parametrize("K", [10**15, 10**17, 2**994])
     def test_huge_truncation_of_slow_sum_returns_fast(self, K):
         # streaming 10^15 or more pairs of S(2) would take days
         start = time.perf_counter()
@@ -213,6 +214,25 @@ class TestSNumeric:
         assert time.perf_counter() - start < 0.5
         # the rest of the gap is the rounding of the terms and of pi^2/8
         assert abs(value - math.pi**2 / 8) <= tail + 2 * math.ulp(value)
+
+    def test_largest_k_returns_fast(self):
+        for n in (3, 8, 1000):
+            start = time.perf_counter()
+            value, tail = s_numeric(n, 2**994)
+            assert time.perf_counter() - start < 0.5
+            assert value.hex() == s_numeric(n, 10**5).value.hex(), n
+            assert tail == 0.0
+
+    # past 2^994 pairs the underflow pad alone leaves the early stop no room,
+    # and every pair would be streamed; 4K + 1 passes the float range at 2^1022
+    @pytest.mark.parametrize("K", [2**994 + 1, 10**400], ids=["cap+1", "1e400"])
+    def test_k_past_cap_refused_before_any_term(self, monkeypatch, K):
+        assert 2 * euler_sums._TERMS_LIMIT * 2.0**-1060 <= euler_sums._REST_LIMIT / 4
+        calls = self._count_pairs(monkeypatch)
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=r"^K must be at most 2\^994$"):
+                s_numeric(n, K)
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_early_exit_head_depends_on_n_alone(self, monkeypatch, n):

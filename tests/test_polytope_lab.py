@@ -541,10 +541,10 @@ class TestMonteCarlo:
         monkeypatch.setattr(polytope_lab, "_worker_count", lambda: 2)
         real = polytope_lab._chunk_sums
 
-        def chunk_sums(summand, dim, seed, samples, index):
+        def chunk_sums(estimates, seed, samples, index):
             if index == 1:
                 raise RuntimeError("chunk failed")
-            return real(summand, dim, seed, samples, index)
+            return real(estimates, seed, samples, index)
 
         monkeypatch.setattr(polytope_lab, "_chunk_sums", chunk_sums)
         samples = 1000 * CHUNK_SAMPLES

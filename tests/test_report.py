@@ -1,12 +1,19 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from zigzagsums import cli, report as report_module, spectral_operator
-from zigzagsums.polytope_lab import volume_formula
+from zigzagsums import cli, polytope_lab, report as report_module, spectral_operator
+from zigzagsums.polytope_lab import (
+    CHUNK_SAMPLES,
+    PolytopeSpec,
+    mc_cube_integral,
+    mc_volume,
+    volume_formula,
+)
 from zigzagsums.report import (
     CheckResult,
     SUITES,
@@ -129,16 +136,19 @@ class TestMonteCarloSuite:
     @staticmethod
     def _miss_volumes(monkeypatch, missed_seeds):
         # every volume estimate at a missed seed lands 10 standard errors off
-        real = report_module.mc_volume
+        real = report_module._mc_estimates
 
-        def estimator(spec, samples, seed):
-            estimate = real(spec, samples, seed)
+        def estimator(volumes, cubes, samples, seed):
+            estimates = real(volumes, cubes, samples, seed)
             if seed not in missed_seeds:
-                return estimate
-            mean = volume_formula(spec).to_float() + 10 * estimate.std_error
-            return dataclasses.replace(estimate, mean=mean)
+                return estimates
+            missed = [
+                dataclasses.replace(estimate, mean=volume_formula(spec).to_float() + 10 * estimate.std_error)
+                for spec, estimate in zip(volumes, estimates)
+            ]
+            return missed + estimates[len(volumes):]
 
-        monkeypatch.setattr(report_module, "mc_volume", estimator)
+        monkeypatch.setattr(report_module, "_mc_estimates", estimator)
 
     def test_miss_at_seed_retries_on_next_seed(self, monkeypatch):
         samples = 50000
@@ -160,6 +170,53 @@ class TestMonteCarloSuite:
         first = [c.id.removesuffix(".retry") for c in report.checks]
         assert ids == first + [c.id for c in report.checks] + [None]
         assert report.timings[-1]["suite"] == "montecarlo"
+
+    @staticmethod
+    def _volume_specs():
+        return [PolytopeSpec(kind, n, "half_pi") for kind, n in report_module.MC_VOLUME_CASES]
+
+    def _lone_estimates(self, samples, seed):
+        """verify's Monte Carlo estimates, each from its own run."""
+        return [mc_volume(spec, samples, seed) for spec in self._volume_specs()] + [
+            mc_cube_integral(n, samples, seed) for n in report_module.MC_CUBE_DIMENSIONS
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("samples", [50000, 3 * CHUNK_SAMPLES + 100], ids=["50000", "partial-chunk"])
+    def test_shared_run_equals_lone_runs(self, monkeypatch, workers, samples):
+        # 3 * CHUNK_SAMPLES + 100 ends in a partial chunk of one partial block
+        monkeypatch.setattr(polytope_lab, "_worker_count", lambda: workers)
+        lone = self._lone_estimates(samples, 5)
+        shared = polytope_lab._mc_estimates(self._volume_specs(), report_module.MC_CUBE_DIMENSIONS, samples, 5)
+        assert [(e.mean, e.std_error) for e in shared] == [(e.mean, e.std_error) for e in lone]
+        checks = list(report_module._montecarlo_checks(5, samples, ""))
+        assert [c.actual for c in checks] == [str(e.mean) for e in lone]
+        assert [c.tolerance for c in checks] == [str(4 * e.std_error) for e in lone]
+
+    def test_forced_retry_equals_lone_runs_on_next_seed(self, monkeypatch):
+        self._miss_volumes(monkeypatch, {0})
+        report = run_suite("montecarlo", seed=0, samples=50000)
+        assert report.metadata["montecarlo_retried"] is True
+        lone = self._lone_estimates(50000, 1)
+        assert [c.actual for c in report.checks] == [str(e.mean) for e in lone]
+        assert [c.tolerance for c in report.checks] == [str(4 * e.std_error) for e in lone]
+
+    def test_lone_estimate_draws_no_whole_chunk(self, monkeypatch):
+        # a lone estimate draws block by block: at n = 3 its buffers are one
+        # 3 x BLOCK_ROWS block and the chunk's summands, under the
+        # 3 x CHUNK_SAMPLES doubles a shared run's stream takes
+        monkeypatch.setattr(polytope_lab, "_worker_count", lambda: 1)
+        stream = 3 * CHUNK_SAMPLES * 8
+        tracemalloc.start()
+        try:
+            mc_cube_integral(3, CHUNK_SAMPLES, 0)
+            lone_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            polytope_lab._mc_estimates((), (3, 3), CHUNK_SAMPLES, 0)
+            shared_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lone_peak < stream < shared_peak
 
     def test_miss_at_both_seeds_fails_verify(self, capsys, monkeypatch):
         self._miss_volumes(monkeypatch, {0, 1})

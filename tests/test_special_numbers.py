@@ -9,6 +9,7 @@ import pytest
 
 from zigzagsums import report, special_numbers
 from zigzagsums.special_numbers import (
+    ENUMERATION_LIMIT,
     SequenceCache,
     _frontier_leaves,
     _leaf_checks,
@@ -244,6 +245,36 @@ class TestPrunedSearch:
         _, cyclic = _leaf_checks(rows)
         cyclic_leaves = [p for p, keep in zip(leaves, cyclic) if keep]
         assert set(cyclic_leaves) == set(_full_walk(n, is_cyclically_alternating))
+
+
+def _masked_frontier_leaves(n):
+    """Reference for ``_frontier_leaves``: each step tests every value against every prefix.
+
+    An R x n mask of the values each prefix may take next: not yet used (an
+    int32 bitmask per prefix) and keeping the step rising at odd positions,
+    falling at even ones.  np.nonzero reads it prefix by prefix, values
+    ascending, so the rows come out in lexicographic order.
+    """
+    values = np.arange(1, n + 1, dtype=np.int8)
+    bits = np.left_shift(1, values, dtype=np.int32)
+    rows = values[:, None]
+    used = bits
+    for k in range(1, n):
+        last = rows[:, -1:]
+        step = values > last if k % 2 else values < last
+        prefix, value = np.nonzero(step & ((used[:, None] & bits) == 0))
+        rows = np.column_stack((rows[prefix], values[value]))
+        used = used[prefix] | bits[value]
+    return rows
+
+
+class TestFrontierTable:
+    @pytest.mark.parametrize("n", range(1, ENUMERATION_LIMIT + 1))
+    def test_leaves_equal_masked_reference(self, n):
+        # the same rows in the same order, int8
+        leaves, reference = _frontier_leaves(n), _masked_frontier_leaves(n)
+        assert leaves.dtype == reference.dtype == np.int8
+        np.testing.assert_array_equal(leaves, reference)
 
 
 def _is_permutation(row):

@@ -325,9 +325,10 @@ class TestFourier:
             lo, hi = rests[0](h)
             assert Fraction(lo) <= tail <= Fraction(hi), h
 
-    # K = 10^17 puts 4K + 1 past 2^53, where 4k + 1 are rounded floats, and
-    # 2^70 puts the count of terms past a C ssize_t
-    @pytest.mark.parametrize("K", [10**15, 10**17, 2**70])
+    # K = 10^17 puts 4K + 1 past 2^53, where 4k + 1 are rounded floats,
+    # 2^70 puts the count of terms past a C ssize_t, and 2^993 - 1 is the
+    # largest K accepted
+    @pytest.mark.parametrize("K", [10**15, 10**17, 2**70, 2**993 - 1])
     def test_parseval_huge_truncation_returns_fast(self, K):
         # streaming 2 * 10^15 + 1 or more terms would take days
         start = time.perf_counter()
@@ -343,6 +344,18 @@ class TestFourier:
             value = parseval_sum(n, K)
             assert time.perf_counter() - start < 0.5
             assert value.hex() == parseval_sum(n, 10).hex(), n
+
+    # past 2^994 terms the underflow pad alone leaves the early stop no room,
+    # and every term would be streamed; 4K + 1 passes the float range at 2^1022
+    @pytest.mark.parametrize("K", [2**993, 10**400], ids=["cap+1", "1e400"])
+    def test_parseval_k_past_cap_refused_before_any_term(self, monkeypatch, K):
+        def refuse(*args):
+            raise AssertionError("a term was summed for a refused K")
+
+        monkeypatch.setattr(spectral_operator, "_fsum_with_stop", refuse)
+        for n in (0, 1, 442):
+            with pytest.raises(ValueError, match=r"^K must be below 2\^993$"):
+                parseval_sum(n, K)
 
     def test_parseval_converges_to_inner_product(self):
         for n in (2, 3):

@@ -7,7 +7,8 @@ copy in every zigzagsums namespace that binds it (as the benchmark's span
 tracer rebinds its wrappers), resets the sequence caches, and runs the checks
 of the four suites: exact, numeric, spectral at grid 400, and one Monte Carlo
 pass at 50000 samples.  A check reads the function if the function ran while
-the check was built, or if its expected or actual text differs from an
+the check was built (for a route that is one part of a shared run, if one of
+the route's results was read), or if its expected or actual text differs from an
 unperturbed run (that covers values shared between checks, such as the
 spectrum, which is computed once).  Every check that reads it must fail.
 
@@ -28,6 +29,21 @@ from zigzagsums.exact_arith import VPiPoly
 
 def _twice_plus_one(value):
     return 2 * value + 1
+
+
+def _shift_ten_errors(estimate):
+    return dataclasses.replace(estimate, mean=estimate.mean + 10 * estimate.std_error)
+
+
+class _Recorded:
+    """A result that appends to calls each time one of its attributes is read."""
+
+    def __init__(self, value, calls):
+        self._value, self._calls = value, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._value, name)
 
 
 # route -> (perturbation of its return value, the checks it must reach).
@@ -75,11 +91,31 @@ PERTURBATIONS = {
     ),
     # A shift of 10 standard errors: an estimate within 4 of the exact value
     # (the unperturbed run passes) lands at least 6 away.  One run gives
-    # every Monte Carlo estimate of a pass, the volumes and the cube integrals.
+    # every Monte Carlo estimate of a pass, the volumes and the cube integrals;
+    # the two routes are also perturbed each alone (SHARED_ROUTES).
     "polytope_lab._mc_estimates": (
-        lambda estimates: [dataclasses.replace(e, mean=e.mean + 10 * e.std_error) for e in estimates],
+        lambda estimates: list(map(_shift_ten_errors, estimates)),
         "montecarlo.volume.cyclic.2",
         "montecarlo.cube.2",
+    ),
+    "polytope_lab.mc_volume": (_shift_ten_errors, "montecarlo.volume.cyclic.2"),
+    "polytope_lab.mc_cube_integral": (_shift_ten_errors, "montecarlo.cube.2"),
+}
+
+# Routes that verify reads as a part of one shared run: route -> (the
+# function that makes the run, the indices of the route's results given the
+# run's arguments).  The Monte Carlo pass takes its volumes, then its cube
+# integrals, from one _mc_estimates call, so a wrong mc_volume or
+# mc_cube_integral is modelled by perturbing only its part of that run.  The
+# run is made once, while the pass's first check is built, so a check counts
+# as calling such a route when it reads one of the route's results.
+SHARED_ROUTES = {
+    "polytope_lab.mc_volume": (
+        "polytope_lab._mc_estimates", lambda volumes, cubes, *_: range(len(volumes))
+    ),
+    "polytope_lab.mc_cube_integral": (
+        "polytope_lab._mc_estimates",
+        lambda volumes, cubes, *_: range(len(volumes), len(volumes) + len(cubes)),
     ),
 }
 
@@ -114,14 +150,20 @@ def _baseline() -> dict:
 
 def _readers(monkeypatch, route: str) -> dict:
     """{check id: whether it passes} for each check that reads route, with route perturbed."""
-    module_name, name = route.rsplit(".", 1)
+    target, part = SHARED_ROUTES.get(route, (route, None))
+    module_name, name = target.rsplit(".", 1)
     real = getattr(importlib.import_module(f"zigzagsums.{module_name}"), name)
     perturb = PERTURBATIONS[route][0]
     calls = []
 
     def perturbed(*args):
-        calls.append(args)
-        return perturb(real(*args))
+        if part is None:
+            calls.append(args)
+            return perturb(real(*args))
+        results = list(real(*args))
+        for index in part(*args):
+            results[index] = _Recorded(perturb(results[index]), calls)
+        return results
 
     baseline = _baseline()
     assert all(check.status == "pass" for check in baseline.values())

@@ -12,7 +12,9 @@ from .euler_sums import (
     GEval,
     PiMultiple,
     SNumeric,
+    fourier_coeff_const,
     g_eval,
+    parseval_sum,
     s_coeff,
     s_coeff_via_bernoulli,
     s_coeff_via_euler,
@@ -49,10 +51,8 @@ from .special_numbers import (
 )
 from .spectral_operator import (
     eigenfunction_residual,
-    fourier_coeff_const,
     inner_product_one,
     nystrom_matrix,
-    parseval_sum,
     sym_eigenvalues,
     t_power_one,
     trace_power_nystrom,

@@ -44,7 +44,10 @@ from typing import Iterator
 
 from . import __version__
 from .euler_sums import (
+    PiMultiple,
+    fourier_coeff_const,
     g_eval,
+    parseval_sum,
     s_coeff,
     s_coeff_via_bernoulli,
     s_coeff_via_euler,
@@ -75,11 +78,9 @@ from .special_numbers import (
 from .spectral_operator import (
     eigenfunction_residual,
     exact_eigenvalue,
-    fourier_coeff_const,
     inner_product_one,
     nystrom_matrix,
     nystrom_traces,
-    parseval_sum,
     sym_eigenvalues,
 )
 
@@ -279,7 +280,7 @@ def _exact_checks():
     yield _exact("exact.operator_monomial",
                  "inner product of 1 with the (n-1)-th operator iterate is (A(n)/n!)(pi/2)^n, n <= 20",
                  True,
-                 all(inner_product_one(n).terms == ((n, Fraction(zigzag(n), math.factorial(n) * 2**n)),)
+                 all(inner_product_one(n) == PiMultiple(Fraction(zigzag(n), math.factorial(n) * 2**n), n)
                      for n in range(1, 21)))
     yield _exact("exact.ratio.m5", "cyclic-to-plain ratio at ten letters",
                  Fraction(39680, 50521), Fraction(cyclic_zigzag(10), zigzag(10)))

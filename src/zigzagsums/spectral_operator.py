@@ -1,7 +1,7 @@
 """The integral operator with triangle-indicator kernel on L^2(0, pi/2).
 
 The operator sends f to the function v |-> integral of f over (0, pi/2 - v).
-Two complementary views are implemented:
+This module holds only its exact iterates and its Nystrom views:
 
   * exact: the operator maps polynomials homogeneous of degree d in
     (pi, v) to degree d + 1, so its iterates on the constant 1 are
@@ -43,10 +43,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .euler_sums import _TERMS_LIMIT, PiMultiple, _fsum_with_stop, _lattice_rest, _outward
+from .euler_sums import PiMultiple
 from .exact_arith import VPiPoly
 
 if TYPE_CHECKING:
@@ -158,76 +158,6 @@ def inner_product_one(n: int) -> PiMultiple:
         raise ValueError(f"exact iterates are capped at n <= {T_POWER_LIMIT}")
     q = _iterate(n)
     return PiMultiple(Fraction(q.numerators[0], q.denominator * 2**n), n)
-
-
-def fourier_coeff_const(k: int) -> float:
-    """Coefficient of cos((4k+1)u) in the orthogonal expansion of 1: (4/pi)/(4k+1)."""
-    return (4.0 / math.pi) / (4 * k + 1)
-
-
-def parseval_sum(n: int, K: int) -> float:
-    """(pi/4) sum over |k| <= K of c_k^2 / (4k+1)^n for the constant function.
-
-    Converges to (4/pi) S(n+2), the inner product of 1 with its (n+1)-th
-    operator iterate, as K grows.
-
-    Each term is ``pow(q / (4k+1), 2) / pow(4k+1, float(n))`` with
-    q = fl(4/pi): c_k divided as in ``fourier_coeff_const`` and squared by
-    Python's float ``pow``, and (4k+1)^n the same libm ``pow`` as
-    ``float(4k+1) ** n``, so every term is the double of the per-term
-    expression.  numpy's vectorised power is not used: it differs from libm
-    in the last bit of some terms.  Where the float (4k+1)^n passes the
-    float range (from k = 1 at n = 442, from k = 3 at n = 300), ``pow``
-    raises ``OverflowError`` and the term is instead the correctly rounded
-    exact term q^2 (4k+1)^-(n+2), below 2^-1022: a subnormal or 0.0.
-
-    The terms stream from the centre out, k = 0, 1, -1, 2, -2, ..., and the
-    value is (pi/4) fsum(terms) bit for bit: math.fsum is correctly rounded
-    in any order.  Only a head is drawn, since the rest provably cannot
-    change the double (``_fsum_with_stop``): 19208 of the 200001 terms at
-    n = 0, K = 10^5 and 1164 of the 20001 at n = 1, K = 10^4.  After h
-    terms the positive side resumes at k = floor(h/2) + 1 and the negative
-    side at k = -(floor((h-1)/2) + 1).  The term of k is q^2 (4k+1)^-(n+2)
-    in exact arithmetic, so the rest is q^2 times
-    ``_lattice_rest(n + 2, ...)``.  Each term float is within 7.02u
-    (u = 2^-53) of its exact value: the division by 4k+1 one rounding,
-    the square a pow within 1 ulp (2u) of a value already off by 2u, the
-    power (4k+1)^n a pow within 1 ulp, and the division by it one more
-    rounding.  The bracket takes 8u; where 4K + 1 passes 2^53, so that
-    4k + 1 is a rounded float, it takes (n + 2) 8u, which also covers that
-    rounding in the square and in the n-th power.  The product by q^2 is
-    evaluated as (lo q) q, within 2.01u, and stepped out by 4u.  A term
-    taken as the rounded exact term is subnormal or 0.0, within 2^-1075 of
-    its exact value, which the underflow pad of ``_fsum_with_stop`` covers.
-    K of 2^993 or more, 2K + 1 > 2^994 terms, is refused with a ValueError
-    before any term is drawn: there that pad leaves the rest no room to
-    stop the sum (``euler_sums._TERMS_LIMIT``).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    if 2 * K + 1 > _TERMS_LIMIT:
-        raise ValueError("K must be below 2^993")
-    q = 4.0 / math.pi
-    q_num, q_den = q.as_integer_ratio()
-
-    def term(base: int) -> float:
-        try:
-            return pow(q / base, 2) / pow(base, float(n))
-        except OverflowError:
-            return q_num * q_num / (q_den * q_den * base ** (n + 2))
-
-    # 4k + 1 for k = 0, 1, -1, 2, -2, ..., K, -K
-    bases = chain((1,), chain.from_iterable(zip(range(5, 4 * K + 2, 4), range(-3, -4 * K, -4))))
-    rel = 2.0**-50 if 4 * K + 1 <= 2**53 else (n + 2) * 2.0**-50
-
-    def rest(h: int) -> tuple[float, float]:
-        lo, hi = _lattice_rest(n + 2, h // 2 + 1, (h - 1) // 2 + 1, K, rel)
-        lo, hi = lo * q * q, hi * q * q
-        return _outward([lo, -abs(lo) * 2.0**-51], [hi, abs(hi) * 2.0**-51])
-
-    return _fsum_with_stop(map(term, bases), 2 * K + 1, rest, lambda s: (math.pi / 4) * s)
 
 
 def sym_eigenvalues(matrix: KernelMatrix, top: int) -> list[float]:

@@ -334,6 +334,24 @@ class TestGEval:
         g_eval(z, 1424)
         assert calls[0] == (1 if z else 0)
 
+    def test_largest_terms_returns_fast(self):
+        start = time.perf_counter()
+        closed, series = g_eval(0.5, 2**994)
+        assert time.perf_counter() - start < 0.5
+        expected = g_eval(0.5, 1000)
+        assert (closed, series.hex()) == (expected.closed, expected.series.hex())
+
+    # past 2^994 terms the underflow pad alone leaves the early stop no room,
+    # and every term would be drawn; at 10^400, terms + 1 overflows as a float
+    @pytest.mark.parametrize("terms", [2**994 + 1, 2**997, 10**400], ids=["cap+1", "2^997", "1e400"])
+    def test_terms_past_cap_refused_before_any_term(self, monkeypatch, terms):
+        def refuse(n):
+            raise AssertionError("an S(k) was computed for refused terms")
+
+        monkeypatch.setattr(euler_sums, "s_value", refuse)
+        with pytest.raises(ValueError, match=r"^terms must be at most 2\^994$"):
+            g_eval(0.5, terms)
+
     def test_at_zero(self):
         assert g_eval(0.0, 10) == (0.0, 0.0)
 

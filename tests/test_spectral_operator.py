@@ -10,19 +10,17 @@ import pytest
 
 from zigzagsums import euler_sums, spectral_operator
 import exact_oracle
-from zigzagsums.euler_sums import PiMultiple
+from zigzagsums.euler_sums import PiMultiple, fourier_coeff_const, parseval_sum
 from zigzagsums.exact_arith import VPiPoly
 from zigzagsums.special_numbers import zigzag
 from zigzagsums.spectral_operator import (
     T_POWER_LIMIT,
     eigenfunction_residual,
     exact_eigenvalue,
-    fourier_coeff_const,
     grid_midpoints,
     inner_product_one,
     nystrom_matrix,
     nystrom_traces,
-    parseval_sum,
     sym_eigenvalues,
     t_power_one,
     trace_power_nystrom,
@@ -224,7 +222,7 @@ class TestFourier:
     def _count_terms(monkeypatch):
         """Count the Parseval terms drawn: the items _fsum_with_stop takes from its terms."""
         calls = [0]
-        real = spectral_operator._fsum_with_stop
+        real = euler_sums._fsum_with_stop
 
         def counted(terms, count, rest, finish):
             def drawn():
@@ -234,7 +232,7 @@ class TestFourier:
 
             return real(drawn(), count, rest, finish)
 
-        monkeypatch.setattr(spectral_operator, "_fsum_with_stop", counted)
+        monkeypatch.setattr(euler_sums, "_fsum_with_stop", counted)
         return calls
 
     def test_parseval_bit_identical_around_head(self, monkeypatch):
@@ -275,24 +273,26 @@ class TestFourier:
         # a head takes the fallback: the head chained with the rest of the stream.
         # Each rest is widened by 2^-40 on both sides, as at n >= 300 it is far
         # narrower than an ulp of the sum.
+        # The chain calls are counted inside _fsum_with_stop only, as
+        # parseval_sum chains its bases with the same module's chain.
         monkeypatch.setattr(euler_sums, "_REST_LIMIT", 1.0)
-        real = spectral_operator._fsum_with_stop
-
-        def widened(terms, count, rest, finish):
-            def wide(h):
-                lo, hi = rest(h)
-                return lo - 2.0**-40, hi + 2.0**-40
-
-            return real(terms, count, wide, finish)
-
-        monkeypatch.setattr(spectral_operator, "_fsum_with_stop", widened)
+        real = euler_sums._fsum_with_stop
         fallbacks = [0]
 
         def counting_chain(*iterables):
             fallbacks[0] += 1
             return itertools.chain(*iterables)
 
-        monkeypatch.setattr(euler_sums, "chain", counting_chain)
+        def widened(terms, count, rest, finish):
+            def wide(h):
+                lo, hi = rest(h)
+                return lo - 2.0**-40, hi + 2.0**-40
+
+            with monkeypatch.context() as patch:
+                patch.setattr(euler_sums, "chain", counting_chain)
+                return real(terms, count, wide, finish)
+
+        monkeypatch.setattr(euler_sums, "_fsum_with_stop", widened)
         # (4k+1)^300 overflows from k = 3 on, 5^442 at k = 1, where 3^442 does not
         cases = [(n, K) for n in range(6) for K in (5, 1000, 10**4)] + [(300, 1000), (442, 5)]
         for n, K in cases:
@@ -306,14 +306,14 @@ class TestFourier:
         # At n = 300 the terms from k = 3 on are subnormal or 0.0; the stream
         # is the oracle's terms bit for bit, those included.
         rests, streamed = [], []
-        real = spectral_operator._fsum_with_stop
+        real = euler_sums._fsum_with_stop
 
         def spy(terms, count, rest, finish):
             rests.append(rest)
             streamed.extend(terms)
             return real(iter(streamed), count, rest, finish)
 
-        monkeypatch.setattr(spectral_operator, "_fsum_with_stop", spy)
+        monkeypatch.setattr(euler_sums, "_fsum_with_stop", spy)
         K = 1000 if n == 300 else 30
         parseval_sum(n, K)
         order = [0] + [k for j in range(1, K + 1) for k in (j, -j)]
@@ -352,7 +352,7 @@ class TestFourier:
         def refuse(*args):
             raise AssertionError("a term was summed for a refused K")
 
-        monkeypatch.setattr(spectral_operator, "_fsum_with_stop", refuse)
+        monkeypatch.setattr(euler_sums, "_fsum_with_stop", refuse)
         for n in (0, 1, 442):
             with pytest.raises(ValueError, match=r"^K must be below 2\^993$"):
                 parseval_sum(n, K)

@@ -71,6 +71,7 @@ from .polytope_lab import (
 )
 from .special_numbers import bernoulli, cyclic_zigzag, euler_number, zigzag
 from .spectral_operator import (
+    GRID_LIMIT,
     _rank_mode,
     exact_eigenvalue,
     nystrom_matrix,
@@ -82,16 +83,16 @@ CONFIG_ENV = "ZIGZAGSUMS_CONFIG"
 
 DEFAULTS = {"digits": 12, **report.run_suite.__kwdefaults__}
 
-# Largest Nystrom grid accepted.  It bounds verify's dense traces
-# (nystrom_traces): one N x N matrix takes 8 N^2 bytes (134 MB at N = 4096).
-# They pad the kernel with zeros to a multiple of 8, and their square costs
-# one 8-row BLAS block and is spread into the kernel's own buffer, so they
-# hold one array on every grid.  At the cap, and at N = 4095, nystrom_traces
-# takes 0.23-0.27 s of CPU time, 0.11-0.22 s wall and 158-159 MiB peak RSS
-# (medians of 10 calls in process, two runs at each grid; Xeon, 2 CPUs).
+# GRID_LIMIT, the largest Nystrom grid accepted, is spectral_operator's:
+# nystrom_traces refuses larger grids itself.  It bounds verify's dense traces,
+# which pad the kernel with zeros to a multiple of 8 and build no square
+# array: their square row takes the top 8 rows against column panels of about
+# 2^20 entries, and each trace is summed leaf by leaf.  At the cap, and at
+# N = 4095, nystrom_traces takes 0.16-0.20 s of CPU time, 0.08-0.10 s wall
+# and 38 MiB peak RSS, 28 MiB of it the interpreter and numpy (medians of 10
+# calls in process, two runs at each grid; Xeon, 2 CPUs).
 # The spectrum and the lattice-count trace of volume ... spectral build no
 # array, and the kernel's entries are a view of 2N - 1 doubles.
-GRID_LIMIT = 4096
 
 # Largest Monte Carlo sample count accepted.  Run time is linear in the count
 # and grows with the dimension: on 2 CPUs an estimate at the cap takes about
@@ -409,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         help=f"Nystrom grid size (default 2000, at most {GRID_LIMIT}); verify's dense traces"
-        " pad it to a multiple of 8 and take their square from one BLAS row block",
+        " pad it to a multiple of 8 and take their square's first row from one BLAS row block,"
+        " in column panels",
     )
     common.add_argument("--quiet", action="store_true", help="suppress secondary output")
 

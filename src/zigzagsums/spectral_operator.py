@@ -19,14 +19,15 @@ This module holds only its exact iterates and its Nystrom views:
     ``trace_power_nystrom(N, n)`` counts the lattice points of a dilated
     cyclic polytope in exact integers, (pi/2N)^n L_n(N - 2), and builds no
     array.  ``nystrom_traces(N)``, the verify suite's call, returns the
-    traces of M^2, M^3 and M^4 from dense products of one kernel and one
-    square M @ M, with the kernel padded by zero rows and columns to a
-    multiple of 8.  Entry (i, j) of that square depends on max(i, j) alone,
-    so it is spread from the first row of one 8-row BLAS block, bit for bit
-    equal to the full product (see ``_square_row``), into the one buffer
-    that holds the kernel's copy.  Only those dense traces build square
-    arrays: the kernel's entries are a read-only view of 2N - 1 doubles, and
-    the eigenfunction residual sums in closed form.
+    traces of M^2, M^3 and M^4 bit for bit as dense products of the kernel,
+    padded by zero rows and columns to a multiple of 8, and one square
+    M @ M would give them, without building any square array.  Entry
+    (i, j) of that square depends on max(i, j) alone, so it is min(g_i, g_j)
+    for the square's row 0, g, which comes from one 8-row BLAS block taken
+    in column panels (see ``_square_row``); each trace is summed leaf by
+    leaf along numpy's own pairwise-sum tree (see ``_pairwise_sums``).  The
+    kernel's entries are a read-only view of 2N - 1 doubles, and the
+    eigenfunction residual sums in closed form.
 
 The kernel is the open triangle u + v < pi/2; boundary points count as 0,
 which also fixes the behaviour of grid pairs that land exactly on the
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .euler_sums import PiMultiple
 from .exact_arith import VPiPoly
@@ -57,9 +58,24 @@ HALF_PI = math.pi / 2
 # Degree of the exact operator iterates grows linearly; keep desk scale.
 T_POWER_LIMIT = 40
 
-# The dense traces pad the kernel to a multiple of this many rows, and their
-# square comes from one row block of that many rows (see _square_row).
+# The dense traces pad the kernel to a multiple of this many rows; row 0 of
+# their square comes from the product of the kernel's top SQUARE_ALIGN rows
+# with column panels of the kernel, each a multiple of it wide (see
+# _square_row).
 SQUARE_ALIGN = 8
+
+# Largest grid the dense traces accept.  They hold no square array, but
+# their time still grows as P^2: the square row multiplies 8 rows by the
+# whole kernel, and the sums visit every entry of three P x P products.  The
+# CLI refuses larger grids with the same limit (see cli).
+GRID_LIMIT = 4096
+
+# Entries per leaf of the dense traces' pairwise-sum tree: at least numpy's
+# 128-entry unrolled block, so every leaf is a node of numpy's own tree, and
+# small enough that a leaf's rows, about 2^16 + 2P doubles per array, stay
+# far below one panel of _square_row while the P^2 / 2^16 leaves (256 at
+# GRID_LIMIT) cost milliseconds of Python.
+SUM_LEAF = 1 << 16
 
 
 def _check_grid(N: int) -> None:
@@ -213,8 +229,29 @@ def exact_eigenvalue(rank: int) -> float:
     return 1.0 / (4 * _rank_mode(rank) + 1)
 
 
-def _square_row(m: np.ndarray) -> np.ndarray:
-    """Row 0 of m @ m for the dense Nystrom kernel m = c J, padded to a multiple of SQUARE_ALIGN.
+def _panel_widths(size: int) -> list[int]:
+    """Widths of the column panels of a size x size kernel: max(1, size^2 >> 20) of them.
+
+    The widths are multiples of SQUARE_ALIGN, as equal as possible, and sum
+    to size (a multiple of SQUARE_ALIGN).  The count is derived from OpenBLAS
+    0.3.31's small-matrix path: a dgemm with M N K at most about 10^6 takes
+    a separate kernel that sums in another order, and fixed 128- and
+    256-column panels changed g exactly where 8 size w fell below that
+    (size 392-976 and 392-488).  With q = max(1, size^2 >> 20) panels,
+    size^2 / q is at least 2^20, so the narrowest panel, w >= size/q - 8,
+    gives 8 size w >= 8 (2^20 - 8 size) multiply-adds, above 8.1 * 10^6 up
+    to GRID_LIMIT and eight times that threshold; and as size^2 / q is
+    below 2^21, a panel of at most size (size/q + 8) doubles stays below
+    16 MiB plus 8 rows.
+    """
+    units = size // SQUARE_ALIGN
+    count = max(1, size * size >> 20)
+    base, extra = divmod(units, count)
+    return [SQUARE_ALIGN * (base + (p < extra)) for p in range(count)]
+
+
+def _square_row(kernel: np.ndarray) -> np.ndarray:
+    """Row 0 of m @ m, for the read-only kernel view m = c J padded to a multiple of SQUARE_ALIGN.
 
     The whole square is min(g_i, g_j) for this row g, bit for bit.  (J^2)_ij
     counts max(0, N - 1 - max(i, j)) products.  BLAS sums entry (i, j) over
@@ -229,14 +266,36 @@ def _square_row(m: np.ndarray) -> np.ndarray:
     up to 1200 (OpenBLAS 0.3.31), and 2 rows differed at most aligned N
     from 392 to 704.
 
-    That held at every multiple of SQUARE_ALIGN up to 4096, the CLI's grid
-    cap, with one BLAS thread and with two.  An unpadded grid that is not
-    such a multiple has ragged edge tiles whose sums differ (at 52 of those
-    below 400, 20 among them), which is why ``nystrom_traces`` pads the
-    kernel.  The tests check the spread square against m @ m, padded grids
-    included.
+    That block matched m @ m at every multiple of SQUARE_ALIGN up to 4096,
+    the grid cap, with one BLAS thread and with two.  An unpadded grid that
+    is not such a multiple has ragged edge tiles whose sums differ (at 52
+    of those below 400, 20 among them), which is why ``nystrom_traces``
+    pads the kernel.
+
+    No size x size array is built: the top SQUARE_ALIGN rows are copied
+    once and multiplied by column panels of the kernel (``_panel_widths``),
+    each copied in turn into one reused contiguous buffer.  A panel splits
+    only the columns, so the k range of each entry stays whole, and every
+    panel product has at least about 2^20 * 8 multiply-adds, far from
+    OpenBLAS's small-matrix path.  The panels' g matched the full 8-row
+    block at every multiple of SQUARE_ALIGN up to 4096, for N = size and
+    size - 3, with one BLAS thread and with two.  The tests check the spread
+    square against m @ m, padded grids and grids of several panels included.
     """
-    return (m[:SQUARE_ALIGN] @ m)[0]
+    import numpy as np
+
+    size = kernel.shape[1]
+    top = np.array(kernel[:SQUARE_ALIGN])
+    widths = _panel_widths(size)
+    buffer = np.empty(size * max(widths))
+    g = np.empty(size)
+    start = 0
+    for width in widths:
+        panel = buffer[: size * width].reshape(size, width)
+        panel[...] = kernel[:, start : start + width]
+        g[start : start + width] = (top @ panel)[0]
+        start += width
+    return g
 
 
 def _closed_walks(t: int, n: int) -> int:
@@ -302,6 +361,32 @@ def trace_power_nystrom(N: int, n: int) -> float:
     return PiMultiple(Fraction(_lattice_count(N - 2, n), (2 * N) ** n), n).to_float()
 
 
+def _pairwise_sums(
+    start: int, stop: int, leaf: Callable[[int, int], tuple[float, ...]]
+) -> tuple[float, ...]:
+    """np.sum over the flat index range [start, stop) of one or more arrays, built from leaf sums.
+
+    numpy (2.4.6; the rule dates from 1.9) sums a contiguous float64 range
+    of n entries pairwise: fewer than 8 in order, up to 128 in eight
+    interleaved accumulators, and above that as the sum of its first n2
+    entries plus the sum of the rest, with n2 = n/2 rounded down to a
+    multiple of 8.  This recursion splits the range the same way down to
+    ranges of at most SUM_LEAF entries.  Those are nodes of numpy's tree,
+    so ``leaf(lo, hi)``, which returns np.sum over [lo, hi) of each array,
+    gives each node's value; the children's sums are added in tree order,
+    so the result is np.sum over the whole range of each array, bit for bit.
+    The tests hold it to np.sum, so a numpy that sums otherwise fails there.
+    """
+    n = stop - start
+    if n <= SUM_LEAF:
+        return leaf(start, stop)
+    half = n // 2
+    half -= half % 8
+    left = _pairwise_sums(start, start + half, leaf)
+    right = _pairwise_sums(start + half, stop, leaf)
+    return tuple(a + b for a, b in zip(left, right))
+
+
 def nystrom_traces(N: int) -> tuple[float, float, float]:
     """trace(M^2), trace(M^3) and trace(M^4) from dense products of the Nystrom matrix.
 
@@ -315,31 +400,39 @@ def nystrom_traces(N: int) -> tuple[float, float, float]:
     bits may differ from those of the unpadded product.  The products
     round, so the values agree with ``trace_power_nystrom`` only to the
     rounding error of dense products of nonnegative entries, not bit for
-    bit.
+    bit.  Refuses N above GRID_LIMIT before building anything.
 
-    The padded kernel's view is copied once to a writable C-contiguous
-    P x P array m, the BLAS operand of the square and then the buffer every
-    elementwise product is written to; the other factor is read from the
-    view.  The square is spread into that same buffer from the first row of
-    one BLAS row block (``_square_row``), once for trace(M^3) and again for
-    trace(M^4), so one P x P array is live.  Each sum reads the same
-    doubles in the same layout as a fresh product would, and multiplication
-    is commutative, so no bit depends on which buffer holds them.  These
-    are the only square arrays the module builds.
+    No P x P array is built.  The square is min(g_i, g_j) for its row 0,
+    g (``_square_row``).  Each trace is np.sum over a C-contiguous P x P
+    product, which is numpy's pairwise sum over the flattened array, so
+    ``_pairwise_sums`` recurses over the flat range [0, P^2) with numpy's
+    split, and each leaf builds only the kernel rows it covers and
+    np.minimum.outer of their g with g, and sums its slice of the
+    products kernel * kernel, square * kernel and square * square.
+    Elementwise products round the same in any layout, and the leaves'
+    sums add up in numpy's order, so every bit is that of the dense
+    products.  The peak is one panel of ``_square_row``, below 16 MiB,
+    then a few arrays of a leaf's rows.
     """
     _check_grid(N)
+    if N > GRID_LIMIT:
+        raise ValueError(f"dense traces are capped at grid {GRID_LIMIT}, not {N}")
     import numpy as np
 
     size = -(-N // SQUARE_ALIGN) * SQUARE_ALIGN
     kernel = _kernel_entries(N, size)
-    m = np.array(kernel)
-    g = _square_row(m)
-    trace2 = float(np.sum(np.multiply(m, m, out=m)))
-    np.minimum.outer(g, g, out=m)
-    trace3 = float(np.sum(np.multiply(m, kernel, out=m)))
-    np.minimum.outer(g, g, out=m)
-    trace4 = float(np.sum(np.multiply(m, m, out=m)))
-    return trace2, trace3, trace4
+    g = _square_row(kernel)
+
+    def leaf(start: int, stop: int) -> tuple[float, float, float]:
+        first, last = start // size, -(-stop // size)
+        k = np.array(kernel[first:last])
+        s = np.minimum.outer(g[first:last], g)
+        span = slice(start - first * size, stop - first * size)
+        return tuple(
+            float(np.sum((a * b).ravel()[span])) for a, b in ((k, k), (s, k), (s, s))
+        )
+
+    return _pairwise_sums(0, size * size, leaf)
 
 
 def eigenfunction_residual(k: int, N: int) -> float:

@@ -14,6 +14,7 @@ from zigzagsums.euler_sums import PiMultiple, fourier_coeff_const, parseval_sum
 from zigzagsums.exact_arith import VPiPoly
 from zigzagsums.special_numbers import zigzag
 from zigzagsums.spectral_operator import (
+    GRID_LIMIT,
     T_POWER_LIMIT,
     eigenfunction_residual,
     exact_eigenvalue,
@@ -675,16 +676,20 @@ class TestTraces:
             gap = abs(Fraction(trace_power_nystrom(N, n)) - Fraction(_trace_oracle(N, n)))
             assert gap <= Fraction(rel) * exact_hi, n
 
-    @pytest.mark.parametrize("N", [2, 3, 7, 8, 16, 100, 257, 520, 777, 1000, 1032, 2000])
+    @pytest.mark.parametrize(
+        "N", [2, 3, 7, 8, 16, 100, 257, 520, 777, 1000, 1032, 1449, 1456, 2000]
+    )
     def test_bit_identical_to_fresh_product(self, N):
-        # the dense traces verify reads: 2, 3, 7, 100, 257 and 777 pad the
-        # kernel to a multiple of 8, 8, 16, 520, 1000, 1032 and 2000 need no
-        # padding; at 8 the row block is the whole kernel, at 16 half of it
+        # the dense traces verify reads: 2, 3, 7, 100, 257, 777 and 1449 pad
+        # the kernel to a multiple of 8, 8, 16, 520, 1000, 1032, 1456 and
+        # 2000 need no padding; at 8 the row block is the whole kernel, at 16
+        # half of it; 1456 is the first grid whose square row takes two
+        # column panels
         assert nystrom_traces(N) == tuple(_trace_oracle(N, n) for n in (2, 3, 4))
 
-    @pytest.mark.parametrize("N", [5, 100, 511, 512, 654, 1007, 2000])
+    @pytest.mark.parametrize("N", [5, 100, 511, 512, 654, 1007, 1449, 1456, 2000])
     def test_shared_traces_equal_separate_traces(self, N):
-        # 512 and 2000 need no padding, the other grids do; the dense
+        # 512, 1456 and 2000 need no padding, the other grids do; the dense
         # traces agree with the exact counts to the rounding of dense
         # products
         traces = nystrom_traces(N)
@@ -721,40 +726,85 @@ class TestTraces:
         # far below one array of N doubles
         assert peak <= 8 * N // 100
 
-    @pytest.mark.parametrize("N", [*range(8, 130, 8), 512, 520, 1000, 1032, 2000])
+    @pytest.mark.parametrize("N", [*range(8, 130, 8), 512, 520, 1000, 1032, 1456, 2000])
     def test_kernel_square_equals_full_product(self, N):
         # grids that are a multiple of 8 need no padding; the first row of
         # one 8-row block must not increase along the row for min(g_i, g_j)
-        # to be g[max(i, j)]
-        m = np.array(nystrom_matrix(N).entries)
-        g = spectral_operator._square_row(m)
+        # to be g[max(i, j)]; 1456 and 2000 take it in two and three
+        # column panels
+        kernel = nystrom_matrix(N).entries
+        m = np.array(kernel)
+        g = spectral_operator._square_row(kernel)
         assert np.array_equal(np.minimum.outer(g, g), m @ m)
         assert np.all(np.diff(g) <= 0)
 
-    @pytest.mark.parametrize("N", [N for N in range(2, 130) if N % 8] + [654, 767, 1007, 2001])
+    @pytest.mark.parametrize(
+        "N", [N for N in range(2, 130) if N % 8] + [654, 767, 1007, 1449, 2001]
+    )
     def test_unaligned_kernel_square_is_full_product(self, N):
         # unpadded, a square spread from a row block differs from m @ m in
         # the last bits at many of these grids (20, 68, 76, ..., 654, 767,
         # 1007 with OpenBLAS 0.3.31), whose ragged edge tiles sum
-        # differently; padded with zeros to a multiple of 8, it must not
+        # differently; padded with zeros to a multiple of 8, it must not;
+        # 1449 pads to 1456, two column panels
         m = _padded_kernel(N)
-        g = spectral_operator._square_row(m)
+        g = spectral_operator._square_row(spectral_operator._kernel_entries(N, _padded_size(N)))
         assert np.array_equal(np.minimum.outer(g, g), m @ m)
         assert np.all(np.diff(g) <= 0)
 
     @pytest.mark.parametrize("N", [1024, 1023, 4095])
     def test_dense_traces_hold_one_array(self, N):
-        # the square is spread into the buffer of the padded kernel's copy,
-        # so the peak is one P x P array and a few rows, P the grid rounded
-        # up to a multiple of 8
+        # no P x P array, P the grid rounded up to a multiple of 8: the peak
+        # is the kernel's 2P - 1 doubles plus the larger of two phases, each
+        # counted in doubles.  The square row holds the top 8 rows, one panel
+        # buffer, one 8-row panel product and g; the sum tree holds g, a
+        # leaf's kernel rows and square rows and one product, each at most
+        # SUM_LEAF + 2P entries.  64 KiB covers Python's own objects.  At
+        # 1024 and 1023 the one panel is the whole kernel; at 4095 it is a
+        # sixteenth of it.
         size = _padded_size(N)
+        rows = spectral_operator.SQUARE_ALIGN
+        width = max(spectral_operator._panel_widths(size))
+        square_row = rows * size + size * width + rows * width + size
+        sum_tree = size + 3 * (spectral_operator.SUM_LEAF + 2 * size)
         tracemalloc.start()
         try:
             nystrom_traces(N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 8 * size * size
+        assert peak <= 8 * (2 * size + max(square_row, sum_tree)) + 64 * 1024
+
+    @pytest.mark.parametrize("leaf", [128, 1024, 1 << 16])
+    def test_pairwise_sums_equal_numpy_sum(self, monkeypatch, leaf):
+        # the sum tree must split where numpy's pairwise sum does, so that
+        # each leaf is a node of numpy's tree; a numpy that sums otherwise
+        # fails here.  The terms spread over 16 decades, so that a
+        # different order changes the last bits.
+        monkeypatch.setattr(spectral_operator, "SUM_LEAF", leaf)
+        rng = np.random.default_rng(34)
+        for n in [1, 7, 8, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 8, 10**6 + 3, 2000**2]:
+            x = rng.random(n) * 10.0 ** rng.uniform(-8, 8, n)
+            tree = spectral_operator._pairwise_sums(
+                0, n, lambda lo, hi: (float(np.sum(x[lo:hi])), float(np.sum(x[lo:hi] ** 2)))
+            )
+            assert tree == (float(np.sum(x)), float(np.sum(x**2))), n
+
+    def test_dense_traces_refuse_grid_above_cap(self, monkeypatch):
+        # a library caller above the CLI's cap is refused before any array
+        # is built, as the CLI refuses it; the CLI reads the same limit
+        from zigzagsums import cli
+
+        def refuse(*args):
+            raise AssertionError("a kernel or square row was built")
+
+        monkeypatch.setattr(spectral_operator, "_kernel_entries", refuse)
+        monkeypatch.setattr(spectral_operator, "_square_row", refuse)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"capped at grid {GRID_LIMIT}"):
+            nystrom_traces(GRID_LIMIT + 1)
+        assert time.perf_counter() - start < 0.1
+        assert cli.GRID_LIMIT is GRID_LIMIT
 
 
 class TestEigenfunctionResidual:
